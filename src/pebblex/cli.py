@@ -35,7 +35,7 @@ from .flips import (
     realize_by_flips,
 )
 from .perms import automorphisms_dict, cycle_notation, parse_perm
-from .puzzle import Puz, pebble_exchange_group
+from .puzzle import Puz
 
 _PRODUCT_PAIRS = (("p2", "p2"), ("p2", "p3"), ("p2", "p4"), ("p2", "c3"), ("p3", "p2"))
 
@@ -114,13 +114,12 @@ def _cmd_aut(args):
 def _cmd_peb(args):
     t0 = time.perf_counter()
     g = _dense(_graph(args.graph))
-    group = pebble_exchange_group(g, cap=args.cap)
-    reach = puzzle.reachable_count(puzzle.puz_on(g), cap=args.cap)
+    group, aut_order, states = puzzle.exchange_group_counts(g, cap=args.cap)
     report = {
         "instance": args.graph,
         "peb_order": group.order,
-        "aut_order": len(automorphisms_dict(g)),
-        "bfs_states": reach,
+        "aut_order": aut_order,
+        "bfs_states": states,
         "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
     if args.elements:

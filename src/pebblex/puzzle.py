@@ -8,15 +8,26 @@ board vertices; it is legal when they are adjacent on the board AND the two
 pebbles sitting there are adjacent in the pebble graph, and it swaps those
 pebbles.
 
-Reachability is plain breadth-first search over configurations, vectorized
-with numpy for instances up to 15 vertices (configurations pack into an
-int64 under radix n) and falling back to dict-based search beyond that.
+Reachability is plain breadth-first search over configurations, by one of
+three engines chosen from the number of vertices n:
+
+* n <= 7: states are lexicographic ranks of permutations.  A table of all
+  n! permutations and a table of the rank each one moves to under every
+  position swap are built once per n and shared by every instance; each
+  BFS level reads its children from the swap table and marks them in an
+  n!-entry visited array.
+* 8 <= n <= 15: configurations pack into int64 keys under radix n and each
+  level is deduplicated against a sorted array of visited keys.
+* n > 15: dict-based search over configuration tuples.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +37,10 @@ from .perms import GroupSummary, automorphisms, compose, inverse
 
 DEFAULT_CAP = 50_000_000
 
+# Rank tables cost n! * C(n,2) int32 entries.  At n = 8 (40320 x 28, 4.5 MB)
+# they raised the peak memory of a run of CLI queries by 8%, whose 8-vertex
+# searches visit at most 20,160 states, so larger boards keep packed keys.
+_RANKED_MAX_N = 7
 _NUMPY_MAX_N = 15  # radix-n packed keys stay under 2**63 up to here
 
 
@@ -110,6 +125,102 @@ def _edge_positions(puz):
     return [(b.index_of(u), b.index_of(v)) for u, v in b.edges()]
 
 
+def _pebble_matrix(puz):
+    """Pebble adjacency over pebble indexes (positions in the sorted list)."""
+    pebbles = puz.pebbles
+    P = np.zeros((puz.n, puz.n), dtype=bool)
+    for u, v in pebbles.edges():
+        i, j = pebbles.index_of(u), pebbles.index_of(v)
+        P[i, j] = P[j, i] = True
+    return P
+
+
+def _radix(n):
+    return n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+class _RankTables(NamedTuple):
+    perms: np.ndarray  # (n!, n) uint8: every permutation of range(n), lexicographic
+    keys: np.ndarray  # (n!,) int64: each row packed under radix n, ascending
+    swap: np.ndarray  # (n!, C(n,2)) int32: rank of the row with two positions swapped
+    pair: np.ndarray  # (n, n): the swap column of positions i != j
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_tables(n):
+    """The graph-independent tables of the ranked search, once per n."""
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.uint8, count=math.factorial(n) * n,
+    ).reshape(math.factorial(n), n)
+    radix = _radix(n)
+    keys = perms @ radix
+    i, j = np.triu_indices(n, 1)
+    cols = np.arange(i.size)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = cols
+    swap = np.empty((len(perms), i.size), dtype=np.int32)
+    for col, a, b in zip(cols, i, j):
+        # swapping positions a and b moves digit d_b to a and d_a to b;
+        # the lexicographic list is sorted by key, so a key's index is its rank
+        delta = (perms[:, b].astype(np.int64) - perms[:, a]) * (radix[a] - radix[b])
+        swap[:, col] = keys.searchsorted(keys + delta)
+    tables = _RankTables(perms, keys, swap, pair)
+    for table in tables:  # shared by every caller in the process
+        table.flags.writeable = False
+    return tables
+
+
+def _ranks(tables, rows):
+    """Ranks of rows of pebble indexes."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return tables.keys.searchsorted(rows @ _radix(rows.shape[-1]))
+
+
+def _ranked_search(puz, start, cap, target=None):
+    """BFS over permutation ranks, for n <= _RANKED_MAX_N.
+
+    Returns (seen, count, found): ``seen`` marks the visited ranks of
+    ``_rank_tables(n)``, whose rows hold pebble indexes.
+    """
+    tables = _rank_tables(puz.n)
+    P = _pebble_matrix(puz)
+    I, J = np.array(_edge_positions(puz), dtype=np.intp).reshape(-1, 2).T
+    K = tables.pair[I, J]
+    ends = (start, start if target is None else target)
+    start_rank, goal = _ranks(
+        tables, [[puz.pebbles.index_of(p) for p in f] for f in ends]
+    )
+    seen = np.zeros(len(tables.perms), dtype=bool)
+    seen[start_rank] = True
+    frontier = np.array([start_rank])
+    count = 1
+    found = target is not None and goal == start_rank
+    while not found:
+        rows = tables.perms[frontier]
+        kids = tables.swap[frontier[:, None], K][P[rows[:, I], rows[:, J]]]
+        fresh = np.zeros_like(seen)
+        fresh[kids] = True
+        fresh[seen] = False
+        frontier = np.flatnonzero(fresh)
+        if not frontier.size:
+            break
+        seen[frontier] = True
+        count += frontier.size
+        if count > cap:
+            raise CapExceededError(
+                f"visited {count} configurations, cap is {cap}"
+            )
+        found = target is not None and seen[goal]
+    return seen, count, bool(found)
+
+
+def _ranked_unpack(puz, seen):
+    labels = np.array(puz.pebbles.vertices, dtype=np.int64)
+    rows = _rank_tables(puz.n).perms[seen]
+    return frozenset(map(tuple, labels[rows].tolist()))
+
+
 def _np_search(puz, start, cap, target=None):
     """Vectorized BFS.  Returns (visited_key_array, found, labels, radix).
 
@@ -119,10 +230,8 @@ def _np_search(puz, start, cap, target=None):
     n = puz.n
     labels = np.array(puz.pebbles.vertices, dtype=np.int64)
     idx = {int(v): k for k, v in enumerate(labels)}
-    P = np.zeros((n, n), dtype=bool)
-    for u, v in puz.pebbles.edges():
-        P[idx[u], idx[v]] = P[idx[v], idx[u]] = True
-    radix = np.array([n ** (n - 1 - j) for j in range(n)], dtype=np.int64)
+    P = _pebble_matrix(puz)
+    radix = _radix(n)
     edges = _edge_positions(puz)
 
     start_row = np.array([[idx[p] for p in start]], dtype=np.uint8)
@@ -206,6 +315,8 @@ def reachable_set(puz, start=None, cap=DEFAULT_CAP):
     start = check_configuration(
         puz, identity_configuration(puz) if start is None else start
     )
+    if puz.n <= _RANKED_MAX_N:
+        return _ranked_unpack(puz, _ranked_search(puz, start, cap)[0])
     if puz.n <= _NUMPY_MAX_N:
         visited, _, labels, radix = _np_search(puz, start, cap)
         return _np_unpack(visited, labels, radix, puz.n)
@@ -218,6 +329,8 @@ def reachable_count(puz, start=None, cap=DEFAULT_CAP):
     start = check_configuration(
         puz, identity_configuration(puz) if start is None else start
     )
+    if puz.n <= _RANKED_MAX_N:
+        return _ranked_search(puz, start, cap)[1]
     if puz.n <= _NUMPY_MAX_N:
         visited, _, _, _ = _np_search(puz, start, cap)
         return int(visited.size)
@@ -231,7 +344,9 @@ def equivalent(puz, f1, f2, cap=DEFAULT_CAP):
     f2 = check_configuration(puz, f2)
     if f1 == f2:
         return True
-    if puz.n <= _NUMPY_MAX_N:
+    if puz.n <= _RANKED_MAX_N:
+        _, _, found = _ranked_search(puz, f1, cap, target=f2)
+    elif puz.n <= _NUMPY_MAX_N:
         _, found, _, _ = _np_search(puz, f1, cap, target=f2)
     else:
         _, found = _py_search(puz, f1, cap, target=f2)
@@ -306,9 +421,28 @@ def pebble_exchange_group(g, cap=DEFAULT_CAP, max_aut_n=16):
     Returns a GroupSummary.  One BFS over the identity's component, then a
     membership test per automorphism.
     """
+    return exchange_group_counts(g, cap=cap, max_aut_n=max_aut_n)[0]
+
+
+def exchange_group_counts(g, cap=DEFAULT_CAP, max_aut_n=16):
+    """The exchange group with the counts it is derived from.
+
+    Returns (GroupSummary, number of automorphisms of g, number of
+    configurations reachable from the identity in the self-puzzle), from
+    one automorphism search and one BFS.
+    """
     auts = automorphisms(g, max_n=max_aut_n)
-    reach = reachable_set(puz_on(g), cap=cap)
-    return GroupSummary.from_elements(p for p in auts if p in reach)
+    puz = puz_on(g)
+    if g.n <= _RANKED_MAX_N:
+        seen, states, _ = _ranked_search(puz, identity_configuration(puz), cap)
+        # g is densely labeled, so pebble p has index p - 1
+        inside = seen[_ranks(_rank_tables(g.n), np.array(auts) - 1)]
+        members = [p for p, keep in zip(auts, inside) if keep]
+    else:
+        reach = reachable_set(puz, cap=cap)
+        states = len(reach)
+        members = [p for p in auts if p in reach]
+    return GroupSummary.from_elements(members), len(auts), states
 
 
 def is_peb_normal_in_aut(g, cap=DEFAULT_CAP):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line surface via its main() entry."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -285,3 +286,17 @@ def test_no_timing_strips_nested_reports(capsys):
     assert "elapsed_ms" not in json.dumps(rep)
     _, rep = run_json(capsys, "verify", "parity")
     assert "elapsed_ms" in json.dumps(rep)
+
+
+# ---------------------------------------------------------------------------
+# golden output: --no-timing bytes recorded before the search engines were
+# reworked; a difference here is a change in what the CLI prints
+
+with open(pathlib.Path(__file__).with_name("cli_golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_output(capsys, case):
+    code, out = run(capsys, *case["argv"], "--no-timing")
+    assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])

@@ -1,7 +1,10 @@
 import math
+import random
 
 import pytest
 
+from pebblex import puzzle as _p
+from pebblex.catalog import connected_graphs
 from pebblex.errors import CapExceededError, IllegalMoveError, PuzzleError
 from pebblex.graphs import (
     Graph,
@@ -13,13 +16,15 @@ from pebblex.graphs import (
     square,
     star,
 )
-from pebblex.perms import identity_perm, perm_power, sign
+from pebblex.names import graph_from_desc
+from pebblex.perms import automorphisms, identity_perm, perm_power, sign
 from pebblex.puzzle import (
     Puz,
     apply_move,
     bfs_witness,
     check_configuration,
     equivalent,
+    exchange_group_counts,
     identity_configuration,
     is_feasible,
     is_peb_normal_in_aut,
@@ -134,6 +139,20 @@ def test_pebble_exchange_group_orders(g, order):
     assert pebble_exchange_group(g).order == order
 
 
+def test_exchange_group_counts_match_the_reachable_set():
+    boards = [g for n in range(1, 6) for g in connected_graphs(n)]
+    boards += [square(path(6)), cycle(7), hypercube(3)]  # n = 6, 7 and 8
+    for g in boards:
+        auts = automorphisms(g)
+        reach = _p._py_search(puz_on(g), tuple(g.vertices), _p.DEFAULT_CAP)[0]
+        group, aut_order, states = exchange_group_counts(g)
+        assert group.elements == tuple(sorted(p for p in auts if p in reach))
+        assert (group.order, aut_order, states) == (
+            len(group.elements), len(auts), len(reach)
+        )
+        assert pebble_exchange_group(g) == group
+
+
 def test_hypercube_group_elements_are_involutions():
     group = pebble_exchange_group(hypercube(2))
     assert group.order == 4
@@ -171,10 +190,100 @@ def test_transpose_sequence_self_validates():
     replay(tz, t_start, t_moves)
 
 
-def test_numpy_and_python_searches_agree():
-    from pebblex import puzzle as _p
+def _agreement_instances():
+    """Every connected board up to 5 vertices against path, clique and star
+    pebbles, then pebble graphs labeled other than 1..n (the pebbles of
+    seq_C)."""
+    for n in range(1, 6):
+        pebble_graphs = [path(n), complete(n)] + ([star(n - 1)] if n > 1 else [])
+        for board in connected_graphs(n):
+            for pebbles in pebble_graphs:
+                yield Puz(board, pebbles)
+    for n in range(2, 7):
+        gapped = graph_from_desc(f"p{n + 1}^2~{n}")
+        yield Puz(path(n), gapped)
+        yield puz_on(gapped)
 
-    for pz in (puz_on(path(3)), Puz(path(4), star(3)), puz_on(cycle(5))):
-        fast = reachable_set(pz)
-        slow = _p._py_search(pz, identity_configuration(pz), _p.DEFAULT_CAP)[0]
-        assert fast == slow
+
+def _engine_answers(pz, start, targets):
+    """(reachable set, count, equivalence verdicts) from each search core."""
+    cap = _p.DEFAULT_CAP
+    seen, count, _ = _p._ranked_search(pz, start, cap)
+    visited, _, labels, radix = _p._np_search(pz, start, cap)
+    py_visited, _ = _p._py_search(pz, start, cap)
+    return {
+        "ranked": (_p._ranked_unpack(pz, seen), count,
+                   [_p._ranked_search(pz, start, cap, t)[2] for t in targets]),
+        "numpy": (_p._np_unpack(visited, labels, radix, pz.n), int(visited.size),
+                  [_p._np_search(pz, start, cap, t)[1] for t in targets]),
+        "python": (frozenset(py_visited), len(py_visited),
+                   [_p._py_search(pz, start, cap, t)[1] for t in targets]),
+        "public": (reachable_set(pz, start), reachable_count(pz, start),
+                   [equivalent(pz, start, t) for t in targets]),
+    }
+
+
+def test_numpy_and_python_searches_agree():
+    rng = random.Random(7)
+    instances = list(_agreement_instances())
+    assert {pz.n for pz in instances} == {1, 2, 3, 4, 5, 6}
+    for pz in instances:
+        ident = identity_configuration(pz)
+        starts = [ident] + [tuple(rng.sample(ident, pz.n)) for _ in range(2)]
+        for start in starts:
+            reach = reachable_set(pz, start)
+            targets = [start, max(reach), tuple(rng.sample(ident, pz.n))]
+            answers = _engine_answers(pz, start, targets)
+            expected = (reach, len(reach), [t in reach for t in targets])
+            for engine, got in answers.items():
+                assert got == expected, (pz, start, engine)
+
+
+def _levels(pz, start):
+    """BFS levels from start by a reference search written from the move
+    rule alone."""
+    levels, seen = [[start]], {start}
+    while levels[-1]:
+        nxt = []
+        for f in levels[-1]:
+            for u, v in pz.board.edges():
+                i, j = pz.board.index_of(u), pz.board.index_of(v)
+                if pz.pebbles.has_edge(f[i], f[j]):
+                    g = list(f)
+                    g[i], g[j] = g[j], g[i]
+                    if tuple(g) not in seen:
+                        seen.add(tuple(g))
+                        nxt.append(tuple(g))
+        levels.append(nxt)
+    return levels[:-1]
+
+
+@pytest.mark.parametrize(
+    "pz",
+    [puz_on(cycle(5)), Puz(path(4), star(3)), puz_on(square(path(5))),
+     puz_on(hypercube(2)), Puz(cycle(7), star(6))],
+    ids=["c5", "p4/star3", "p5^2", "q2", "c7/star6"],
+)
+def test_cap_boundary(pz):
+    count = reachable_count(pz)
+    message = f"visited {count} configurations, cap is {count - 1}"
+    for search in (reachable_count, reachable_set):
+        with pytest.raises(CapExceededError) as exc:
+            search(pz, cap=count - 1)
+        assert str(exc.value) == message
+    assert reachable_count(pz, cap=count) == count
+    assert len(reachable_set(pz, cap=count)) == count
+    # an equivalence query stops on the level where its target first
+    # appears, and that level's states count against the cap
+    start = identity_configuration(pz)
+    levels = _levels(pz, start)
+    assert sum(map(len, levels)) == count
+    for depth in range(1, len(levels)):
+        through = sum(len(level) for level in levels[: depth + 1])
+        target = levels[depth][-1]
+        with pytest.raises(CapExceededError) as exc:
+            equivalent(pz, start, target, cap=through - 1)
+        assert str(exc.value) == (
+            f"visited {through} configurations, cap is {through - 1}"
+        )
+        assert equivalent(pz, start, target, cap=through)
