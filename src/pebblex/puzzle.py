@@ -37,9 +37,11 @@ from .perms import GroupSummary, automorphisms, compose, inverse
 
 DEFAULT_CAP = 50_000_000
 
-# Rank tables cost n! * C(n,2) int32 entries.  At n = 8 (40320 x 28, 4.5 MB)
-# they raised the peak memory of a run of CLI queries by 8%, whose 8-vertex
-# searches visit at most 20,160 states, so larger boards keep packed keys.
+# Rank tables cost n! * C(n,2) int32 entries: 0.4 MB at n = 7, 4.5 MB at
+# n = 8 and 52 MB at n = 9.  The limit of 7 is a choice, not a measured
+# optimum: in one run of CLI queries, whose 8-vertex searches visit at most
+# 20,160 states, n = 8 tables peaked 7.8% higher in memory for no clear
+# speed gain, and n = 9 was not measured.
 _RANKED_MAX_N = 7
 _NUMPY_MAX_N = 15  # radix-n packed keys stay under 2**63 up to here
 
@@ -432,17 +434,9 @@ def exchange_group_counts(g, cap=DEFAULT_CAP, max_aut_n=16):
     one automorphism search and one BFS.
     """
     auts = automorphisms(g, max_n=max_aut_n)
-    puz = puz_on(g)
-    if g.n <= _RANKED_MAX_N:
-        seen, states, _ = _ranked_search(puz, identity_configuration(puz), cap)
-        # g is densely labeled, so pebble p has index p - 1
-        inside = seen[_ranks(_rank_tables(g.n), np.array(auts) - 1)]
-        members = [p for p, keep in zip(auts, inside) if keep]
-    else:
-        reach = reachable_set(puz, cap=cap)
-        states = len(reach)
-        members = [p for p in auts if p in reach]
-    return GroupSummary.from_elements(members), len(auts), states
+    reach = reachable_set(puz_on(g), cap=cap)
+    members = [p for p in auts if p in reach]
+    return GroupSummary.from_elements(members), len(auts), len(reach)
 
 
 def is_peb_normal_in_aut(g, cap=DEFAULT_CAP):

@@ -191,9 +191,10 @@ def test_transpose_sequence_self_validates():
 
 
 def _agreement_instances():
-    """Every connected board up to 5 vertices against path, clique and star
-    pebbles, then pebble graphs labeled other than 1..n (the pebbles of
-    seq_C)."""
+    """A few hand-picked instances, every connected board up to 5 vertices
+    against path, clique and star pebbles, then pebble graphs labeled other
+    than 1..n (the pebbles of seq_C)."""
+    yield from (puz_on(path(3)), Puz(path(4), star(3)), puz_on(cycle(5)))
     for n in range(1, 6):
         pebble_graphs = [path(n), complete(n)] + ([star(n - 1)] if n > 1 else [])
         for board in connected_graphs(n):
