@@ -54,6 +54,7 @@ from .perms import (
     identity_perm,
     inverse,
     is_automorphism,
+    isomorphisms,
     parse_perm,
     perm_order,
     perm_power,

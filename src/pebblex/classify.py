@@ -38,6 +38,7 @@ from .graphs import (
     is_connected,
     is_cycle,
     is_theta_122,
+    relabel_dense,
     star,
 )
 from .perms import automorphisms, sign
@@ -227,12 +228,6 @@ def girth5_reachable_oracle(g):
     return frozenset(out)
 
 
-def _dense(g):
-    if g.is_dense_labeled():
-        return g
-    return g.relabeled({v: i + 1 for i, v in enumerate(g.vertices)})
-
-
 def _report(instance, verdict, rule, witness, bfs_states, peb_order, t0):
     return {
         "instance": instance,
@@ -250,7 +245,7 @@ def verify_prop2(g, cap=puzzle.DEFAULT_CAP, label=None):
     set of Puz(g, g) must equal the matching configurations, and the
     exchange group must be trivial.  Raises ValueError outside scope."""
     t0 = time.perf_counter()
-    g = _dense(g)
+    g = relabel_dense(g)
     oracle = girth5_reachable_oracle(g)
     reach = puzzle.reachable_set(puzzle.puz_on(g), cap=cap)
     peb = [a for a in automorphisms(g) if a in reach]
@@ -273,7 +268,7 @@ def verify_product_theorem(g1, g2, cap=puzzle.DEFAULT_CAP, label=None):
     coordinatewise products of the factors' exchange groups, and that
     every group element maps factor copies onto factor copies."""
     t0 = time.perf_counter()
-    g1, g2 = _dense(g1), _dense(g2)
+    g1, g2 = relabel_dense(g1), relabel_dense(g2)
     prod, coord = cartesian_product(g1, g2)
     n2 = g2.n
 

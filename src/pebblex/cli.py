@@ -34,6 +34,7 @@ from .flips import (
     parse_flip_sequence,
     realize_by_flips,
 )
+from .graphs import relabel_dense
 from .perms import automorphisms_dict, cycle_notation, parse_perm
 from .puzzle import Puz
 
@@ -42,12 +43,6 @@ _PRODUCT_PAIRS = (("p2", "p2"), ("p2", "p3"), ("p2", "p4"), ("p2", "c3"), ("p3",
 
 def _graph(desc):
     return names.graph_from_desc(desc)
-
-
-def _dense(g):
-    if g.is_dense_labeled():
-        return g
-    return g.relabeled({v: i + 1 for i, v in enumerate(g.vertices)})
 
 
 def _text_arg(raw):
@@ -95,41 +90,34 @@ def _write_out(path, text):
 
 
 def _cmd_aut(args):
-    t0 = time.perf_counter()
     g = _graph(args.graph)
     auts = automorphisms_dict(g)
     report = {
         "instance": args.graph,
         "aut_order": len(auts),
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
     if args.elements:
         report["elements"] = [
             {str(v): img[v] for v in g.vertices} for img in auts
         ]
-    _emit(report, args)
-    return 0
+    return report, 0
 
 
 def _cmd_peb(args):
-    t0 = time.perf_counter()
-    g = _dense(_graph(args.graph))
+    g = relabel_dense(_graph(args.graph))
     group, aut_order, states = puzzle.exchange_group_counts(g, cap=args.cap)
     report = {
         "instance": args.graph,
         "peb_order": group.order,
         "aut_order": aut_order,
         "bfs_states": states,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
     if args.elements:
         report["elements"] = [cycle_notation(p) for p in group.elements]
-    _emit(report, args)
-    return 0
+    return report, 0
 
 
 def _cmd_feasible(args):
-    t0 = time.perf_counter()
     board = _graph(args.board)
     pebbles = _graph(args.pebbles)
     family, verdict = classify.classify_instance(board, pebbles)
@@ -155,86 +143,67 @@ def _cmd_feasible(args):
         report["witness"] = None
         report["bfs_states"] = states
     report["verdict"] = bool(feasible)
-    report["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    _emit(report, args)
-    return 0 if feasible else 1
+    return report, 0 if feasible else 1
 
 
 def _cmd_equivalent(args):
-    t0 = time.perf_counter()
     pz = Puz(_graph(args.board), _graph(args.pebbles))
     f1 = _config_arg(getattr(args, "from"), pz)
     f2 = _config_arg(args.to, pz)
     verdict = puzzle.equivalent(pz, f1, f2, cap=args.cap)
-    report = {
+    return {
         "instance": f"board={args.board} pebbles={args.pebbles}",
         "from": list(f1),
         "to": list(f2),
         "verdict": bool(verdict),
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    _emit(report, args)
-    return 0 if verdict else 1
+    }, 0 if verdict else 1
 
 
 def _cmd_flips(args):
-    t0 = time.perf_counter()
     g = _graph(args.graph)
     sigma = _perm_arg(args.perm, g.n)
     seq = realize_by_flips(g, sigma)
     if args.out:
         _write_out(args.out, format_flip_sequence(seq))
-    report = {
+    return {
         "instance": args.graph,
         "permutation": list(sigma),
         "cycles": cycle_notation(sigma),
         "flips": len(seq),
         "total_flip_length": sum(len(p) for p in seq),
         "out": args.out,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
 def _cmd_replay_flips(args):
-    t0 = time.perf_counter()
     g = _graph(args.graph)
     with open(args.cert) as fh:
         seq = parse_flip_sequence(fh.read())
     perm = flip_sequence_permutation(g, seq)
-    report = {
+    return {
         "instance": args.graph,
         "flips": len(seq),
         "permutation": list(perm),
         "cycles": cycle_notation(perm),
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
 def _cmd_reverse_square(args):
-    t0 = time.perf_counter()
     cert = squares.seq_A(args.n, via=args.via, allow_large=args.allow_large)
     cert.validate()
     if args.out:
         _write_out(args.out, squares.format_certificate(cert))
-    report = {
+    return {
         "instance": f"reversal on the squared {args.n}-path",
         "n": args.n,
         "moves": len(cert.moves),
         "length_formula": squares.sequence_length(args.n),
         "final": list(cert.end),
         "out": args.out,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
 def _cmd_compile_square(args):
-    t0 = time.perf_counter()
     g = _graph(args.graph)
     sigma = _perm_arg(args.perm, g.n)
     cert = squares.compile_automorphism_to_square_moves(
@@ -242,49 +211,39 @@ def _cmd_compile_square(args):
     )
     if args.out:
         _write_out(args.out, squares.format_certificate(cert))
-    report = {
+    return {
         "instance": f"{args.graph}^2",
         "permutation": list(sigma),
         "cycles": cycle_notation(sigma),
         "moves": len(cert.moves),
         "final": list(cert.end),
         "out": args.out,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
 def _cmd_replay(args):
-    t0 = time.perf_counter()
     with open(args.cert) as fh:
         cert = squares.parse_certificate(fh.read())
     cert.validate()
-    report = {
+    return {
         "board": cert.board_desc,
         "pebbles": cert.pebbles_desc,
         "moves": len(cert.moves),
         "start": list(cert.start),
         "final": list(cert.end),
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
 def _cmd_classify(args):
-    t0 = time.perf_counter()
     board = _graph(args.board)
     pebbles = _graph(args.pebbles)
     family, verdict = classify.classify_instance(board, pebbles)
     report = {
         "instance": f"board={args.board} pebbles={args.pebbles}",
         "family": family,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
     report.update(verdict.as_json())
-    _emit(report, args)
-    return 1 if verdict.feasible is False else 0
+    return report, 1 if verdict.feasible is False else 0
 
 
 def _cmd_verify(args):
@@ -329,8 +288,7 @@ def _cmd_verify(args):
     elif suite == "parity":
         reports.append(classify.verify_parity_example(cap=args.cap))
     verdict = all(r["verdict"] for r in reports)
-    _emit({"suite": suite, "verdict": verdict, "reports": reports}, args)
-    return 0 if verdict else 1
+    return {"suite": suite, "verdict": verdict, "reports": reports}, 0 if verdict else 1
 
 
 def _add_common(sp, out=False, jobs=False):
@@ -432,8 +390,9 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -449,6 +408,10 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.verb != "verify":  # each suite report carries its own time
+        report["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    _emit(report, args)
+    return code
 
 
 if __name__ == "__main__":

@@ -262,9 +262,7 @@ def _dict_order(sig):
     return out
 
 
-def _dict_power(sig, k, ordr=None):
-    if ordr:
-        k %= ordr
+def _dict_power(sig, k):
     out = {v: v for v in sig}
     for _ in range(k):
         out = _dict_compose(sig, out)

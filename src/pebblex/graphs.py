@@ -15,6 +15,7 @@ from collections import deque
 from itertools import combinations
 
 from .errors import GraphParseError
+from .perms import isomorphisms
 
 INF = math.inf
 
@@ -113,6 +114,14 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def relabel_dense(g):
+    """g itself when labeled 1..n, else a copy relabeled 1..n in vertex
+    order."""
+    if g.is_dense_labeled():
+        return g
+    return g.relabeled({v: i + 1 for i, v in enumerate(g.vertices)})
 
 
 def parse_graph(text):
@@ -386,38 +395,6 @@ def complement(g):
     return Graph(g.vertices, edges)
 
 
-def subdivide_each_edge(g, k):
-    """Replace every edge with a path through k fresh interior vertices, in
-    lexicographic edge order; fresh labels continue after max(vertices)."""
-    if k < 0:
-        raise ValueError("subdivision count must be >= 0")
-    if k == 0:
-        return Graph(g.vertices, g.edges())
-    nxt = max(g.vertices) + 1
-    edges = []
-    for u, v in g.edges():
-        chain = [u] + list(range(nxt, nxt + k)) + [v]
-        nxt += k
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(range(1, nxt), edges) if g.is_dense_labeled() else Graph(
-        set(g.vertices) | set(range(max(g.vertices) + 1, nxt)), edges
-    )
-
-
-def replace_edges_with_T(g):
-    """For each edge uv (lex order) add fresh x1,x2,x3 with edges
-    {u x1, v x1, x1 x2, x2 x3} and delete uv."""
-    if not g.is_dense_labeled():
-        raise ValueError("needs a densely labeled graph")
-    nxt = g.n + 1
-    edges = []
-    for u, v in g.edges():
-        x1, x2, x3 = nxt, nxt + 1, nxt + 2
-        nxt += 3
-        edges.extend([(u, x1), (v, x1), (x1, x2), (x2, x3)])
-    return Graph(range(1, nxt), edges)
-
-
 # ---------------------------------------------------------------------------
 # predicates and structure
 
@@ -462,81 +439,54 @@ def is_tree(g):
     return is_connected(g) and g.m == g.n - 1
 
 
-def cut_vertices(g):
-    """Sorted tuple of articulation vertices (iterative lowpoint DFS)."""
+def _cuts_and_bridges(g):
+    """Cut vertices and bridges from one iterative lowpoint DFS: a sorted
+    tuple of vertices and a sorted tuple of (u, v) edges with u < v."""
     disc = {}
     low = {}
     parent = {}
-    result = set()
-    timer = 0
+    cuts = set()
+    brs = []
     for root in g.vertices:
         if root in disc:
             continue
-        stack = [(root, iter(sorted(g.adj[root])))]
-        disc[root] = low[root] = timer
-        timer += 1
+        disc[root] = low[root] = len(disc)
+        stack = [(root, iter(g.adj[root]))]
         root_children = 0
         while stack:
             v, it = stack[-1]
-            advanced = False
             for w in it:
                 if w not in disc:
                     parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, iter(sorted(g.adj[w]))))
-                    advanced = True
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, iter(g.adj[w])))
                     break
-                elif w != parent.get(v):
+                if w != parent.get(v):
                     low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if u != root and low[v] >= disc[u]:
-                        result.add(u)
-        if root_children >= 2:
-            result.add(root)
-    return tuple(sorted(result))
-
-
-def bridges(g):
-    """Sorted tuple of bridge edges (u, v) with u < v."""
-    disc = {}
-    low = {}
-    parent = {}
-    result = []
-    timer = 0
-    for root in g.vertices:
-        if root in disc:
-            continue
-        stack = [(root, iter(sorted(g.adj[root])))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in disc:
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, iter(sorted(g.adj[w]))))
-                    advanced = True
-                    break
-                elif w != parent.get(v):
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
+            else:
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
                     low[u] = min(low[u], low[v])
                     if low[v] > disc[u]:
-                        result.append((min(u, v), max(u, v)))
-    return tuple(sorted(result))
+                        brs.append((min(u, v), max(u, v)))
+                    if u == root:
+                        root_children += 1
+                    elif low[v] >= disc[u]:
+                        cuts.add(u)
+        if root_children >= 2:
+            cuts.add(root)
+    return tuple(sorted(cuts)), tuple(sorted(brs))
+
+
+def cut_vertices(g):
+    """Sorted tuple of articulation vertices."""
+    return _cuts_and_bridges(g)[0]
+
+
+def bridges(g):
+    """Sorted tuple of bridge edges (u, v) with u < v."""
+    return _cuts_and_bridges(g)[1]
 
 
 def is_2connected(g):
@@ -555,10 +505,9 @@ def has_k_isthmus(g, k):
         raise ValueError("k must be >= 1")
     if not is_connected(g):
         raise ValueError("needs a connected graph")
-    cuts = set(cut_vertices(g))
+    cuts, bridge_set = map(set, _cuts_and_bridges(g))
     if k == 1:
         return [min(cuts)] if cuts else None
-    bridge_set = set(bridges(g))
 
     def extend(p):
         if len(p) == k:
@@ -611,44 +560,6 @@ def enumerate_matchings(g):
     yield from rec(0, set(), [])
 
 
-def _find_isomorphism(g1, g2):
-    """Backtracking isomorphism search for small graphs; returns a mapping
-    dict or None."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return None
-    if sorted(g1.degree(v) for v in g1.vertices) != sorted(
-        g2.degree(v) for v in g2.vertices
-    ):
-        return None
-    vs1 = g1.vertices
-    vs2 = g2.vertices
-    mapping = {}
-    used = set()
-
-    def bt(i):
-        if i == len(vs1):
-            return True
-        v = vs1[i]
-        for w in vs2:
-            if w in used or g1.degree(v) != g2.degree(w):
-                continue
-            ok = True
-            for u in vs1[:i]:
-                if g1.has_edge(u, v) != g2.has_edge(mapping[u], w):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if bt(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    return dict(mapping) if bt(0) else None
-
-
 def is_theta_122(g):
     """Isomorphism test against the fixed 7-vertex theta graph, behind a
     cheap degree-sequence filter."""
@@ -656,7 +567,7 @@ def is_theta_122(g):
         return False
     if sorted(g.degree(v) for v in g.vertices) != [2, 2, 2, 2, 2, 3, 3]:
         return False
-    return _find_isomorphism(g, theta_122()) is not None
+    return next(isomorphisms(g, theta_122()), None) is not None
 
 
 def cartesian_product(g1, g2):

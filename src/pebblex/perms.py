@@ -2,16 +2,22 @@
 
 A permutation of a densely labeled n-vertex graph is a tuple ``p`` of length
 n with ``p[i-1]`` the image of vertex i.  Composition is right-to-left:
-``compose(p, q)`` applies q first, then p.  For graphs with gaps in their
-label set the engines below work with plain dicts instead; the tuple form is
-the public face.
+``compose(p, q)`` applies q first, then p.
+
+Every automorphism and isomorphism in the package comes from one matcher,
+``isomorphisms(g1, g2)``, which works on any label set and yields dicts.
+``automorphisms`` turns its output into tuples for densely labeled graphs,
+``automorphisms_dict`` keeps the dicts for graphs whose labels have gaps,
+and ``graphs.is_theta_122`` stops at its first match.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as _all_perms
+
+# automorphisms() refuses larger graphs, whose groups can be huge
+_MAX_AUT_N = 16
 
 
 def identity_perm(n):
@@ -122,103 +128,75 @@ def is_automorphism(g, p):
     return all(g.has_edge(p[u - 1], p[v - 1]) for u, v in g.edges())
 
 
-def automorphisms(g, max_n=16):
-    """All automorphisms of g as sorted tuples, by backtracking with degree
-    and neighborhood pruning.
+def isomorphisms(g1, g2):
+    """Every isomorphism from g1 onto g2, as dicts from g1's labels to g2's.
 
-    Guarded to n <= max_n (default 16); raise the bound explicitly for
-    bigger instances.
+    One backtracking matcher for arbitrary labels.  The vertices of g1 are
+    matched in ascending order and the candidate images tried in ascending
+    order, so the dicts come out lexicographic by image over g1's sorted
+    vertices.  A candidate must have the right degree, be adjacent to the
+    images of the already matched neighbors and to no other image; with g2's
+    vertices as bits of an int, each test is a few mask operations.
     """
+    vs1, vs2 = g1.vertices, g2.vertices
+    n = len(vs1)
+    if n != len(vs2) or g1.m != g2.m:
+        return
+    bit = {w: 1 << k for k, w in enumerate(vs2)}
+    adj2 = [sum(bit[u] for u in g2.adj[w]) for w in vs2]
+    by_degree = {}
+    for w in vs2:
+        d = g2.degree(w)
+        by_degree[d] = by_degree.get(d, 0) | bit[w]
+    degree_mask = [by_degree.get(g1.degree(v), 0) for v in vs1]
+    pos = {v: i for i, v in enumerate(vs1)}
+    back = [[pos[u] for u in g1.adj[v] if pos[u] < i] for i, v in enumerate(vs1)]
+    img = [0] * n  # index in vs2 of the image of vs1[i]
+    options = [0] * n  # candidate images of vs1[i] not yet tried, as bits
+    want = [0] * n  # images of the matched neighbors of vs1[i], as bits
+    used = 0
+    i = 0
+    options[0] = degree_mask[0]
+    while i >= 0:
+        m = options[i]
+        if not m:
+            i -= 1
+            if i >= 0:
+                used ^= 1 << img[i]
+            continue
+        low = m & -m
+        options[i] = m ^ low
+        k = low.bit_length() - 1
+        if adj2[k] & used != want[i]:
+            continue
+        img[i] = k
+        if i == n - 1:
+            yield {v: vs2[img[t]] for t, v in enumerate(vs1)}
+            continue
+        used |= low
+        i += 1
+        m = degree_mask[i] & ~used
+        nbrs = 0
+        for j in back[i]:
+            m &= adj2[img[j]]
+            nbrs |= 1 << img[j]
+        options[i], want[i] = m, nbrs
+
+
+def automorphisms(g):
+    """All automorphisms of g as sorted tuples; g must be densely labeled
+    and have at most _MAX_AUT_N vertices."""
     if not g.is_dense_labeled():
         raise ValueError("needs a densely labeled graph")
-    n = g.n
-    if n > max_n:
-        raise ValueError(
-            f"n={n} exceeds the guard ({max_n}); pass max_n to override"
-        )
-    deg = {v: g.degree(v) for v in g.vertices}
-    # order vertices by scarcity of their degree class, then by label, so the
-    # backtracking fails early on constrained vertices
-    from collections import Counter
-
-    freq = Counter(deg.values())
-    order = sorted(g.vertices, key=lambda v: (freq[deg[v]], v))
-    pos = {v: i for i, v in enumerate(order)}
-    out = []
-    img = {}
-    used = set()
-
-    def bt(i):
-        if i == n:
-            out.append(tuple(img[v] for v in g.vertices))
-            return
-        v = order[i]
-        for w in g.vertices:
-            if w in used or deg[w] != deg[v]:
-                continue
-            ok = True
-            for u in g.adj[v]:
-                if pos[u] < i and not g.has_edge(img[u], w):
-                    ok = False
-                    break
-            if ok:
-                for u in g.vertices:
-                    if pos[u] < i and u not in g.adj[v] and g.has_edge(img[u], w):
-                        ok = False
-                        break
-            if ok:
-                img[v] = w
-                used.add(w)
-                bt(i + 1)
-                del img[v]
-                used.discard(w)
-
-    bt(0)
-    return sorted(out)
+    if g.n > _MAX_AUT_N:
+        raise ValueError(f"n={g.n} exceeds the guard ({_MAX_AUT_N})")
+    return [tuple(a.values()) for a in isomorphisms(g, g)]
 
 
 def automorphisms_dict(g):
-    """Automorphisms of an arbitrarily labeled graph, as dicts.
-
-    Backtracking over the actual label set; used internally on induced
-    subgraphs whose labels have gaps.
-    """
-    vs = g.vertices
-    deg = {v: g.degree(v) for v in vs}
-    out = []
-    img = {}
-    used = set()
-
-    def bt(i):
-        if i == len(vs):
-            out.append(dict(img))
-            return
-        v = vs[i]
-        for w in vs:
-            if w in used or deg[w] != deg[v]:
-                continue
-            ok = True
-            for u in vs[:i]:
-                if g.has_edge(u, v) != g.has_edge(img[u], w):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used.add(w)
-                bt(i + 1)
-                del img[v]
-                used.discard(w)
-
-    bt(0)
-    return out
-
-
-def is_closed_under_composition(perms):
-    """Exhaustive closure check; meant for groups of order <= 200."""
-    s = set(perms)
-    if len(s) > 200:
-        raise ValueError("closure check is limited to 200 elements")
-    return all(compose(p, q) in s for p in s for q in s)
+    """Automorphisms of an arbitrarily labeled graph, as dicts in
+    lexicographic order of images over the sorted vertices."""
+    return list(isomorphisms(g, g))
 
 
 @dataclass(frozen=True)
@@ -232,49 +210,3 @@ class GroupSummary:
     def from_elements(cls, elements):
         elems = tuple(sorted(set(elements)))
         return cls(order=len(elems), elements=elems)
-
-
-def symmetric_group(n):
-    """Every permutation of 1..n; n <= 8 guard."""
-    if n > 8:
-        raise ValueError("symmetric group materialization is capped at n=8")
-    return [tuple(p) for p in _all_perms(range(1, n + 1))]
-
-
-# ---------------------------------------------------------------------------
-# basepoint selection for the flip realization engine
-
-def select_flip_basepoint(g, sigma):
-    """Choose the power of sigma the realization engine attacks first.
-
-    Over exponents e coprime to the order of sigma (ascending) and vertices
-    x (ascending), minimize the pair (d, m) lexicographically, where
-    d = dist(x, sigma^e(x)) and m is the number of distinct vertices in
-    {x, sigma^e(x), sigma^{2e}(x), ...}.  Returns (sigma^e, e, x, d, m).
-    """
-    from .graphs import distances_from
-
-    n = len(sigma)
-    ordr = perm_order(sigma)
-    best = None
-    powers = {1: sigma}
-    for e in range(1, ordr + 1):
-        if math.gcd(e, ordr) != 1:
-            continue
-        pe = powers.get(e)
-        if pe is None:
-            pe = perm_power(sigma, e)
-            powers[e] = pe
-        for x in g.vertices:
-            y = pe[x - 1]
-            d = 0 if y == x else distances_from(g, x)[y]
-            m = 1
-            v = y
-            while v != x:
-                m += 1
-                v = pe[v - 1]
-            key = (d, m, e, x)
-            if best is None or key < best[0]:
-                best = (key, pe, e, x, d, m)
-    _, pe, e, x, d, m = best
-    return pe, e, x, d, m

@@ -300,10 +300,9 @@ def _py_search(puz, start, cap, target=None):
                 if t not in visited:
                     visited.add(t)
                     nxt.append(t)
-                    if t == target:
-                        found = True
-            if found:
-                break
+                    found = found or t == target
+        # the whole level counts against the cap before a find is reported,
+        # as in the vectorized engines
         if len(visited) > cap:
             raise CapExceededError(
                 f"visited {len(visited)} configurations, cap is {cap}"
@@ -417,23 +416,23 @@ def bfs_witness(puz, start, target, cap=DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # the exchange group
 
-def pebble_exchange_group(g, cap=DEFAULT_CAP, max_aut_n=16):
+def pebble_exchange_group(g, cap=DEFAULT_CAP):
     """Automorphisms of g reachable from the identity in the self-puzzle.
 
     Returns a GroupSummary.  One BFS over the identity's component, then a
     membership test per automorphism.
     """
-    return exchange_group_counts(g, cap=cap, max_aut_n=max_aut_n)[0]
+    return exchange_group_counts(g, cap=cap)[0]
 
 
-def exchange_group_counts(g, cap=DEFAULT_CAP, max_aut_n=16):
+def exchange_group_counts(g, cap=DEFAULT_CAP):
     """The exchange group with the counts it is derived from.
 
     Returns (GroupSummary, number of automorphisms of g, number of
     configurations reachable from the identity in the self-puzzle), from
     one automorphism search and one BFS.
     """
-    auts = automorphisms(g, max_n=max_aut_n)
+    auts = automorphisms(g)
     reach = reachable_set(puz_on(g), cap=cap)
     members = [p for p in auts if p in reach]
     return GroupSummary.from_elements(members), len(auts), len(reach)

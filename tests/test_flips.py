@@ -23,6 +23,8 @@ from pebblex import (
     replay_flips,
 )
 from pebblex.catalog import connected_graphs
+from pebblex.flips import _dict_power, _select_dict
+from pebblex.graphs import distances_from
 from pebblex.names import graph_from_desc
 
 
@@ -246,3 +248,26 @@ def test_parse_flip_sequence_reports_line_numbers():
         parse_flip_sequence("2\n1 2 3\n5 1 2\n")  # length mismatch
     # comments and blank lines are skipped but numbering is physical
     assert parse_flip_sequence("# note\n1\n\n1 4 5\n") == [(4, 5)]
+
+
+def test_select_dict_basepoint_invariants():
+    # minimize (d, m): d the board distance from x to its image under the
+    # chosen power, m the orbit length of x; a fixed point wins with (0, 1)
+    c4 = cycle(4).relabeled({1: 10, 2: 20, 3: 30, 4: 40})
+    cases = [
+        (cycle(5), {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}, (1, 1, 5)),
+        (c4, {10: 20, 20: 30, 30: 40, 40: 10}, (10, 1, 4)),
+        # the reversal of the gapped path 2-1-6-5-4
+        (graph_from_desc("c6~3"), {2: 4, 1: 5, 6: 6, 5: 1, 4: 2}, (6, 0, 1)),
+    ]
+    for g, sig, want in cases:
+        powered, e, x, d, m = _select_dict(g, sig)
+        assert (x, d, m) == want
+        assert powered == _dict_power(sig, e)
+        assert distances_from(g, x)[powered[x]] == d
+        orbit = {x}
+        y = powered[x]
+        while y not in orbit:
+            orbit.add(y)
+            y = powered[y]
+        assert len(orbit) == m

@@ -29,11 +29,9 @@ from pebblex.graphs import (
     join,
     parse_graph,
     path,
-    replace_edges_with_T,
     shortest_path,
     square,
     star,
-    subdivide_each_edge,
     theta_122,
 )
 
@@ -151,6 +149,8 @@ def test_girth():
     assert girth(hypercube(3)) == 4
     # cycles of lengths 5, 5, 6 only
     assert girth(theta_122()) == 5
+    # a triangle with two new vertices on each edge is a 9-cycle
+    assert girth(cycle(9)) == 9
 
 
 def test_predicates():
@@ -256,11 +256,3 @@ def test_cartesian_product():
     assert g.adj[1] == frozenset({2, 4})
     q3, _ = cartesian_product(path(2), hypercube(2))
     assert q3.m == 12
-
-
-def test_edge_surgery():
-    s = subdivide_each_edge(path(3), 1)
-    assert s.n == 5 and s.m == 4 and is_tree(s)
-    t = replace_edges_with_T(path(3))  # each edge grows a 3-vertex tail
-    assert t.n == 3 + 3 * 2 and t.m == 4 * 2
-    assert girth(subdivide_each_edge(complete(3), 2)) == 9

@@ -1,0 +1,76 @@
+"""Cross-checks of the graph machinery against networkx, which shares no
+code with the package: cut vertices, bridges, automorphism counts and the
+theta-graph test, on densely labeled graphs and on copies with gapped
+labels."""
+
+import networkx as nx
+import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from pebblex.catalog import connected_graphs
+from pebblex.graphs import bridges, cut_vertices, is_theta_122, theta_122
+from pebblex.perms import automorphisms, automorphisms_dict, isomorphisms
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _gapped(g):
+    return g.relabeled({v: 3 * v + 1 for v in g.vertices})
+
+
+def _with_gapped_copies(graphs):
+    for g in graphs:
+        yield g
+        yield _gapped(g)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cut_structure_matches_networkx(n):
+    for g in _with_gapped_copies(connected_graphs(n)):
+        h = _nx(g)
+        assert cut_vertices(g) == tuple(sorted(nx.articulation_points(h)))
+        want = tuple(sorted((min(e), max(e)) for e in nx.bridges(h)))
+        assert bridges(g) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_automorphism_counts_match_networkx(n):
+    for g in _with_gapped_copies(connected_graphs(n)):
+        h = _nx(g)
+        order = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        as_dicts = automorphisms_dict(g)
+        assert len(as_dicts) == order
+        # lexicographic by image over the sorted vertices
+        images = [tuple(a[v] for v in g.vertices) for a in as_dicts]
+        assert images == sorted(set(images))
+        if g.is_dense_labeled():
+            assert automorphisms(g) == images
+        else:
+            with pytest.raises(ValueError):
+                automorphisms(g)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_isomorphisms_onto_a_gapped_copy(n):
+    for g in connected_graphs(n):
+        h = _gapped(g)
+        maps = list(isomorphisms(g, h))
+        assert len(maps) == len(automorphisms(g))
+        for f in maps:
+            assert sorted(f.values()) == list(h.vertices)
+            assert all(h.has_edge(f[u], f[v]) for u, v in g.edges())
+
+
+def test_theta_122_matches_networkx():
+    theta = _nx(theta_122())
+    hits = 0
+    for g in _with_gapped_copies(connected_graphs(7)):
+        got = is_theta_122(g)
+        assert got == nx.is_isomorphic(_nx(g), theta)
+        hits += got
+    assert hits == 2  # the theta graph and its gapped copy
