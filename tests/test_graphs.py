@@ -149,8 +149,6 @@ def test_girth():
     assert girth(hypercube(3)) == 4
     # cycles of lengths 5, 5, 6 only
     assert girth(theta_122()) == 5
-    # a triangle with two new vertices on each edge is a 9-cycle
-    assert girth(cycle(9)) == 9
 
 
 def test_predicates():
@@ -256,3 +254,17 @@ def test_cartesian_product():
     assert g.adj[1] == frozenset({2, 4})
     q3, _ = cartesian_product(path(2), hypercube(2))
     assert q3.m == 12
+
+
+def test_edge_surgery():
+    # P3 with one new vertex on each edge is still a tree
+    s = Graph(range(1, 6), [(1, 4), (4, 2), (2, 5), (5, 3)])
+    assert s.n == 5 and s.m == 4 and is_tree(s)
+    # each edge uv of P3 becomes a 3-vertex tail x1 x2 x3 hung from u and v
+    t = Graph(range(1, 10), [(1, 4), (2, 4), (4, 5), (5, 6),
+                             (2, 7), (3, 7), (7, 8), (8, 9)])
+    assert t.n == 3 + 3 * 2 and t.m == 4 * 2 and is_tree(t)
+    # a triangle with two new vertices on each edge is a 9-cycle
+    k3 = Graph(range(1, 10), [(1, 4), (4, 5), (5, 2), (2, 6), (6, 7),
+                              (7, 3), (3, 8), (8, 9), (9, 1)])
+    assert girth(k3) == 9 and is_cycle(k3)
