@@ -27,7 +27,6 @@ from collections import deque
 
 from .errors import (
     BoardPathError,
-    CapExceededError,
     PebblePathError,
     RealizationError,
 )
@@ -40,6 +39,13 @@ from .graphs import (
     shortest_path_to_set,
 )
 from .perms import compose, is_automorphism
+from .puzzle import (
+    _moves_to,
+    _tuple_bfs,
+    check_configuration,
+    identity_configuration,
+    puz_on,
+)
 
 DEFAULT_FLIP_CAP = 1_000_000
 
@@ -87,8 +93,6 @@ def apply_flip(puz, config, path):
 
 def replay_flips(puz, start, flips):
     """Apply a flip list from ``start``; returns the final configuration."""
-    from .puzzle import check_configuration
-
     cfg = check_configuration(puz, start)
     for fl in flips:
         cfg = apply_flip(puz, cfg, fl)
@@ -98,8 +102,6 @@ def replay_flips(puz, start, flips):
 def flip_sequence_permutation(g, flips):
     """The permutation a flip list realizes from the identity on the
     self-puzzle of g."""
-    from .puzzle import identity_configuration, puz_on
-
     puz = puz_on(g)
     return replay_flips(puz, identity_configuration(puz), flips)
 
@@ -129,7 +131,9 @@ def compose_flip_sequences(g, s1, s2):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive search (the oracle the constructive engine is tested against)
+# exhaustive search (the oracle the constructive engine is tested against):
+# every canonical path is a move, and the search loop is puzzle._tuple_bfs,
+# the one that also finds move witnesses
 
 def all_flip_paths(g):
     """Every simple path with >= 2 vertices, one orientation each
@@ -153,77 +157,48 @@ def all_flip_paths(g):
     return out
 
 
-def _flip_moves(g):
-    """Tuple-index form of every canonical flip path."""
-    return [[g.index_of(v) for v in p] for p in all_flip_paths(g)]
+def _flip_bfs(g, target, cap):
+    """Parent dict of the flip space from the identity, by _tuple_bfs."""
+    adj = g.adj
+    moves = []
+    for path in all_flip_paths(g):
+        idxs = [g.index_of(v) for v in path]
+        moves.append((idxs[0], idxs[1:], list(zip(idxs, reversed(idxs))), path))
 
-
-def _flip_bfs(g, target, cap, want_parents):
-    start = tuple(g.vertices)
-    moves = _flip_moves(g)
-    parent = {start: None} if want_parents else None
-    visited = {start}
-    frontier = [start]
-    if target == start:
-        return True, parent, visited
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for idxs in moves:
-                pebs = [f[i] for i in idxs]
-                ok = True
-                for a, b in zip(pebs, pebs[1:]):
-                    if not g.has_edge(a, b):
-                        ok = False
-                        break
-                if not ok:
-                    continue
+    def children(f):
+        for head, tail, swaps, path in moves:
+            # most paths fail on an early pebble pair, so stop at the first
+            a = f[head]
+            for i in tail:
+                b = f[i]
+                if b not in adj[a]:
+                    break
+                a = b
+            else:
                 out = list(f)
-                for i, p in zip(idxs, reversed(pebs)):
-                    out[i] = p
-                t = tuple(out)
-                if t in visited:
-                    continue
-                visited.add(t)
-                if want_parents:
-                    parent[t] = (f, tuple(g.vertices[i] for i in idxs))
-                if t == target:
-                    return True, parent, visited
-                nxt.append(t)
-        if len(visited) > cap:
-            raise CapExceededError(
-                f"visited {len(visited)} configurations, cap is {cap}"
-            )
-        frontier = nxt
-    return False, parent, visited
+                for i, j in swaps:
+                    out[i] = f[j]
+                yield tuple(out), path
+
+    return _tuple_bfs(tuple(g.vertices), children, cap, target)
 
 
 def flip_reachable_set(g, cap=DEFAULT_FLIP_CAP):
     """All permutations reachable from the identity by flips."""
-    _, _, visited = _flip_bfs(g, None, cap, want_parents=False)
-    return frozenset(visited)
+    return frozenset(_flip_bfs(g, None, cap))
 
 
 def flip_bfs_oracle(g, sigma, cap=DEFAULT_FLIP_CAP):
     """Breadth-first truth: is sigma reachable from the identity by flips?"""
     sigma = tuple(sigma)
-    found, _, _ = _flip_bfs(g, sigma, cap, want_parents=False)
-    return found
+    return sigma in _flip_bfs(g, sigma, cap)
 
 
 def flip_bfs_witness(g, sigma, cap=DEFAULT_FLIP_CAP):
     """A shortest flip list realizing sigma, or None; replay-verified."""
     sigma = tuple(sigma)
-    found, parent, _ = _flip_bfs(g, sigma, cap, want_parents=True)
-    if not found:
-        return None
-    flips = []
-    cur = sigma
-    while parent[cur] is not None:
-        cur, fl = parent[cur]
-        flips.append(fl)
-    flips.reverse()
-    if flip_sequence_permutation(g, flips) != sigma:
+    flips = _moves_to(_flip_bfs(g, sigma, cap), sigma)
+    if flips is not None and flip_sequence_permutation(g, flips) != sigma:
         raise RealizationError("witness reconstruction failed to replay")
     return flips
 

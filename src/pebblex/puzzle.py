@@ -9,16 +9,19 @@ pebbles sitting there are adjacent in the pebble graph, and it swaps those
 pebbles.
 
 Reachability is plain breadth-first search over configurations, by one of
-three engines chosen from the number of vertices n:
+two engines chosen from the number of vertices n in ``_engine``:
 
 * n <= 7: states are lexicographic ranks of permutations.  A table of all
   n! permutations and a table of the rank each one moves to under every
   position swap are built once per n and shared by every instance; each
   BFS level reads its children from the swap table and marks them in an
   n!-entry visited array.
-* 8 <= n <= 15: configurations pack into int64 keys under radix n and each
-  level is deduplicated against a sorted array of visited keys.
-* n > 15: dict-based search over configuration tuples.
+* n > 7: each configuration packs into one sortable key, an int64 under
+  radix n up to 15 vertices and an n-byte string beyond, and each level is
+  deduplicated against a sorted array of visited keys.
+
+Move witnesses come from a third, parent-recording search over tuples,
+``_tuple_bfs``, which the flip oracle in ``flips`` shares.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ DEFAULT_CAP = 50_000_000
 # 20,160 states, n = 8 tables peaked 7.8% higher in memory for no clear
 # speed gain, and n = 9 was not measured.
 _RANKED_MAX_N = 7
-_NUMPY_MAX_N = 15  # radix-n packed keys stay under 2**63 up to here
+_INT64_MAX_N = 15  # radix-n packed keys stay under 2**63 up to here
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,8 @@ def _ranked_search(puz, start, cap, target=None):
     """BFS over permutation ranks, for n <= _RANKED_MAX_N.
 
     Returns (seen, count, found): ``seen`` marks the visited ranks of
-    ``_rank_tables(n)``, whose rows hold pebble indexes.
+    ``_rank_tables(n)``, whose rows hold pebble indexes, and
+    ``_ranked_unpack`` reads it back.
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
@@ -223,29 +227,31 @@ def _ranked_unpack(puz, seen):
     return frozenset(map(tuple, labels[rows].tolist()))
 
 
-def _np_search(puz, start, cap, target=None):
-    """Vectorized BFS.  Returns (visited_key_array, found, labels, radix).
+def _keys(rows):
+    """Sortable keys of uint8 rows of pebble indexes: radix-n int64 up to
+    _INT64_MAX_N columns, n-byte strings beyond."""
+    n = rows.shape[1]
+    if n <= _INT64_MAX_N:
+        return rows.astype(np.int64) @ _radix(n)
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, n))).ravel()
 
-    Keys are configurations packed base-n over pebble indexes; the caller
-    can unpack them with the returned labels array and radix vector.
+
+def _np_search(puz, start, cap, target=None):
+    """Vectorized BFS over packed keys, for n > _RANKED_MAX_N.
+
+    Returns (visited, count, found): ``visited`` is the sorted array of
+    visited keys, which ``_np_unpack`` reads back.
     """
-    n = puz.n
-    labels = np.array(puz.pebbles.vertices, dtype=np.int64)
-    idx = {int(v): k for k, v in enumerate(labels)}
+    idx = {p: k for k, p in enumerate(puz.pebbles.vertices)}
     P = _pebble_matrix(puz)
-    radix = _radix(n)
     edges = _edge_positions(puz)
 
-    start_row = np.array([[idx[p] for p in start]], dtype=np.uint8)
-    start_key = int((start_row.astype(np.int64) @ radix)[0])
+    frontier = np.array([[idx[p] for p in start]], dtype=np.uint8)
+    visited = _keys(frontier)
     target_key = None
     if target is not None:
-        target_key = int(
-            np.array([idx[p] for p in target], dtype=np.int64) @ radix
-        )
-    visited = np.array([start_key], dtype=np.int64)
-    frontier = start_row
-    found = target_key == start_key
+        target_key = _keys(np.array([[idx[p] for p in target]], dtype=np.uint8))[0]
+    found = target_key == visited[0]
     while frontier.size and not found:
         kids = []
         for a, b in edges:
@@ -257,8 +263,7 @@ def _np_search(puz, start, cap, target=None):
         if not kids:
             break
         C = np.concatenate(kids)
-        keys = C.astype(np.int64) @ radix
-        ukeys, uidx = np.unique(keys, return_index=True)
+        ukeys, uidx = np.unique(_keys(C), return_index=True)
         pos = np.minimum(np.searchsorted(visited, ukeys), visited.size - 1)
         fresh = visited[pos] != ukeys
         if not fresh.any():
@@ -272,43 +277,25 @@ def _np_search(puz, start, cap, target=None):
             )
         if target_key is not None:
             t = np.searchsorted(new_keys, target_key)
-            found = t < new_keys.size and int(new_keys[t]) == target_key
-    return visited, bool(found), labels, radix
+            found = t < new_keys.size and new_keys[t] == target_key
+    return visited, visited.size, bool(found)
 
 
-def _np_unpack(visited, labels, radix, n):
-    digits = (visited[:, None] // radix[None, :]) % n
-    return frozenset(map(tuple, labels[digits].tolist()))
+def _np_unpack(puz, visited):
+    n = puz.n
+    if visited.dtype.kind == "V":
+        rows = visited.view(np.uint8).reshape(-1, n)
+    else:
+        rows = (visited[:, None] // _radix(n)) % n
+    labels = np.array(puz.pebbles.vertices, dtype=np.int64)
+    return frozenset(map(tuple, labels[rows].tolist()))
 
 
-def _py_search(puz, start, cap, target=None):
-    """Dict-based BFS for instances too large to pack into int64 keys."""
-    edges = _edge_positions(puz)
-    pebbles = puz.pebbles
-    visited = {start}
-    frontier = [start]
-    found = start == target
-    while frontier and not found:
-        nxt = []
-        for f in frontier:
-            for i, j in edges:
-                if not pebbles.has_edge(f[i], f[j]):
-                    continue
-                g = list(f)
-                g[i], g[j] = g[j], g[i]
-                t = tuple(g)
-                if t not in visited:
-                    visited.add(t)
-                    nxt.append(t)
-                    found = found or t == target
-        # the whole level counts against the cap before a find is reported,
-        # as in the vectorized engines
-        if len(visited) > cap:
-            raise CapExceededError(
-                f"visited {len(visited)} configurations, cap is {cap}"
-            )
-        frontier = nxt
-    return visited, found
+def _engine(n):
+    """The (search, unpack) pair that serves n-vertex puzzles."""
+    if n <= _RANKED_MAX_N:
+        return _ranked_search, _ranked_unpack
+    return _np_search, _np_unpack
 
 
 def reachable_set(puz, start=None, cap=DEFAULT_CAP):
@@ -316,13 +303,8 @@ def reachable_set(puz, start=None, cap=DEFAULT_CAP):
     start = check_configuration(
         puz, identity_configuration(puz) if start is None else start
     )
-    if puz.n <= _RANKED_MAX_N:
-        return _ranked_unpack(puz, _ranked_search(puz, start, cap)[0])
-    if puz.n <= _NUMPY_MAX_N:
-        visited, _, labels, radix = _np_search(puz, start, cap)
-        return _np_unpack(visited, labels, radix, puz.n)
-    visited, _ = _py_search(puz, start, cap)
-    return frozenset(visited)
+    search, unpack = _engine(puz.n)
+    return unpack(puz, search(puz, start, cap)[0])
 
 
 def reachable_count(puz, start=None, cap=DEFAULT_CAP):
@@ -330,13 +312,8 @@ def reachable_count(puz, start=None, cap=DEFAULT_CAP):
     start = check_configuration(
         puz, identity_configuration(puz) if start is None else start
     )
-    if puz.n <= _RANKED_MAX_N:
-        return _ranked_search(puz, start, cap)[1]
-    if puz.n <= _NUMPY_MAX_N:
-        visited, _, _, _ = _np_search(puz, start, cap)
-        return int(visited.size)
-    visited, _ = _py_search(puz, start, cap)
-    return len(visited)
+    search, _ = _engine(puz.n)
+    return search(puz, start, cap)[1]
 
 
 def equivalent(puz, f1, f2, cap=DEFAULT_CAP):
@@ -345,13 +322,8 @@ def equivalent(puz, f1, f2, cap=DEFAULT_CAP):
     f2 = check_configuration(puz, f2)
     if f1 == f2:
         return True
-    if puz.n <= _RANKED_MAX_N:
-        _, _, found = _ranked_search(puz, f1, cap, target=f2)
-    elif puz.n <= _NUMPY_MAX_N:
-        _, found, _, _ = _np_search(puz, f1, cap, target=f2)
-    else:
-        _, found = _py_search(puz, f1, cap, target=f2)
-    return found
+    search, _ = _engine(puz.n)
+    return search(puz, f1, cap, target=f2)[2]
 
 
 def is_feasible(puz, cap=DEFAULT_CAP):
@@ -369,48 +341,65 @@ def is_feasible(puz, cap=DEFAULT_CAP):
     return reachable_count(puz, cap=cap) == total
 
 
-def bfs_witness(puz, start, target, cap=DEFAULT_CAP):
-    """A shortest move list turning start into target, or None.
+def _tuple_bfs(start, children, cap, target=None):
+    """Parent-recording BFS over hashable states.
 
-    Plain parent-pointer BFS; intended for small instances where an explicit
-    move sequence is wanted rather than a yes/no answer.
+    ``children(state)`` yields (child, move) pairs.  Returns a dict mapping
+    each visited state to (parent, move), or None for ``start``; it is the
+    visited set too.  Parents are kept at first discovery.  With a target,
+    the search finishes the level on which the target appears and checks
+    the cap before it stops, as the vectorized engines do.
     """
-    start = check_configuration(puz, start)
-    target = check_configuration(puz, target)
-    if start == target:
-        return []
-    edges = _edge_positions(puz)
-    board_vs = puz.board.vertices
-    pebbles = puz.pebbles
     parent = {start: None}
     frontier = [start]
-    while frontier:
+    while frontier and target not in parent:
         nxt = []
         for f in frontier:
-            for i, j in edges:
-                if not pebbles.has_edge(f[i], f[j]):
-                    continue
-                g = list(f)
-                g[i], g[j] = g[j], g[i]
-                t = tuple(g)
-                if t in parent:
-                    continue
-                parent[t] = (f, (board_vs[i], board_vs[j]))
-                if t == target:
-                    moves = []
-                    cur = t
-                    while parent[cur] is not None:
-                        cur, mv = parent[cur]
-                        moves.append(mv)
-                    moves.reverse()
-                    return moves
-                nxt.append(t)
+            for t, move in children(f):
+                if t not in parent:
+                    parent[t] = (f, move)
+                    nxt.append(t)
         if len(parent) > cap:
             raise CapExceededError(
                 f"visited {len(parent)} configurations, cap is {cap}"
             )
         frontier = nxt
-    return None
+    return parent
+
+
+def _moves_to(parent, state):
+    """The moves from the start of a ``_tuple_bfs`` to ``state``, or None
+    when the search did not reach it."""
+    if state not in parent:
+        return None
+    moves = []
+    while parent[state] is not None:
+        state, move = parent[state]
+        moves.append(move)
+    moves.reverse()
+    return moves
+
+
+def bfs_witness(puz, start, target, cap=DEFAULT_CAP):
+    """A shortest move list turning start into target, or None.
+
+    Intended for small instances where an explicit move sequence is wanted
+    rather than a yes/no answer.
+    """
+    start = check_configuration(puz, start)
+    target = check_configuration(puz, target)
+    board_vs = puz.board.vertices
+    swaps = [(i, j, (board_vs[i], board_vs[j])) for i, j in _edge_positions(puz)]
+    pebbles = puz.pebbles
+
+    def children(f):
+        for i, j, move in swaps:
+            if pebbles.has_edge(f[i], f[j]):
+                g = list(f)
+                g[i], g[j] = g[j], g[i]
+                yield tuple(g), move
+
+    return _moves_to(_tuple_bfs(start, children, cap, target), target)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +437,8 @@ def is_peb_normal_in_aut(g, cap=DEFAULT_CAP):
             f"automorphism group has {len(auts)} elements, check is capped "
             f"at 200"
         )
-    peb = set(pebble_exchange_group(g, cap=cap).elements)
+    reach = reachable_set(puz_on(g), cap=cap)
+    peb = {p for p in auts if p in reach}
     return all(
         compose(a, compose(p, inverse(a))) in peb for a in auts for p in peb
     )

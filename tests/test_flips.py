@@ -4,6 +4,7 @@ import pytest
 
 from pebblex import (
     BoardPathError,
+    CapExceededError,
     Graph,
     PebblePathError,
     all_flip_paths,
@@ -155,6 +156,96 @@ def test_flip_bfs_witness_replays():
     # automorphism and is also flip-unreachable on C5
     assert flip_bfs_witness(path(4), (4, 3, 2, 1)) is not None
     assert flip_bfs_witness(path(2), (1, 2)) == []
+
+
+# shortest flip lists recorded before the flip oracle moved onto the shared
+# witness search: the same parent at first discovery, the same path order
+FLIP_BFS_WITNESSES = {
+    "c5": {
+        (1, 2, 3, 4, 5): [],
+        (1, 5, 4, 3, 2): [(2, 3, 4, 5)],
+        (2, 1, 5, 4, 3): [(1, 5, 4, 3, 2)],
+        (2, 3, 4, 5, 1): [(1, 2, 3, 4), (1, 5, 4, 3)],
+        (3, 2, 1, 5, 4): [(1, 5, 4, 3)],
+        (3, 4, 5, 1, 2): [(1, 2, 3, 4), (1, 5, 4, 3, 2)],
+        (4, 3, 2, 1, 5): [(1, 2, 3, 4)],
+        (4, 5, 1, 2, 3): [(1, 2, 3, 4), (2, 3, 4, 5)],
+        (5, 1, 2, 3, 4): [(1, 2, 3, 4), (1, 2, 3, 4, 5)],
+        (5, 4, 3, 2, 1): [(1, 2, 3, 4, 5)],
+    },
+    "p4": {(1, 2, 3, 4): [], (4, 3, 2, 1): [(1, 2, 3, 4)]},
+    "star3": {
+        (1, 2, 3, 4): [],
+        (1, 2, 4, 3): [(3, 1, 4)],
+        (1, 3, 2, 4): [(2, 1, 3)],
+        (1, 3, 4, 2): [(2, 1, 3), (3, 1, 4)],
+        (1, 4, 2, 3): [(2, 1, 3), (2, 1, 4)],
+        (1, 4, 3, 2): [(2, 1, 4)],
+    },
+    "q2": {
+        (1, 2, 3, 4): [],
+        (1, 3, 2, 4): [(2, 1, 3)],
+        (2, 1, 4, 3): [(1, 3, 4, 2)],
+        (2, 4, 1, 3): [(1, 2, 4), (1, 3, 4, 2)],
+        (3, 1, 4, 2): [(1, 2, 4), (1, 2, 4, 3)],
+        (3, 4, 1, 2): [(1, 2, 4, 3)],
+        (4, 2, 3, 1): [(1, 2, 4)],
+        (4, 3, 2, 1): [(1, 2, 4), (2, 1, 3)],
+    },
+}
+
+
+@pytest.mark.parametrize("desc", sorted(FLIP_BFS_WITNESSES))
+def test_flip_bfs_witnesses_are_pinned(desc):
+    g = graph_from_desc(desc)
+    got = {sigma: flip_bfs_witness(g, sigma) for sigma in automorphisms(g)}
+    assert got == FLIP_BFS_WITNESSES[desc]
+
+
+def _flip_levels(g):
+    """BFS levels of the flip space from the identity, by a reference
+    search over every board path and apply_flip."""
+    pz = puz_on(g)
+    paths = all_flip_paths(g)
+    levels = [[identity_configuration(pz)]]
+    seen = set(levels[0])
+    while levels[-1]:
+        nxt = []
+        for f in levels[-1]:
+            for p in paths:
+                try:
+                    t = apply_flip(pz, f, p)
+                except PebblePathError:
+                    continue
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        levels.append(nxt)
+    return levels[:-1]
+
+
+@pytest.mark.parametrize("desc", ["c5", "p4", "star3"])
+def test_flip_cap_boundary(desc):
+    # a target query finishes the level on which its target appears, and
+    # that level counts against the cap before the target is reported
+    g = graph_from_desc(desc)
+    levels = _flip_levels(g)
+    count = sum(map(len, levels))
+    with pytest.raises(CapExceededError) as exc:
+        flip_reachable_set(g, cap=count - 1)
+    assert str(exc.value) == f"visited {count} configurations, cap is {count - 1}"
+    assert len(flip_reachable_set(g, cap=count)) == count
+    for depth in range(1, len(levels)):
+        through = sum(len(level) for level in levels[: depth + 1])
+        for target in (levels[depth][0], levels[depth][-1]):
+            for query in (flip_bfs_oracle, flip_bfs_witness):
+                with pytest.raises(CapExceededError) as exc:
+                    query(g, target, cap=through - 1)
+                assert str(exc.value) == (
+                    f"visited {through} configurations, cap is {through - 1}"
+                )
+            assert flip_bfs_oracle(g, target, cap=through) is True
+            assert len(flip_bfs_witness(g, target, cap=through)) == depth
 
 
 # ---------------------------------------------------------------------------

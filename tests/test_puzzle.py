@@ -6,6 +6,7 @@ import pytest
 
 from pebblex import puzzle as _p
 from pebblex.catalog import connected_graphs
+from pebblex.classify import girth5_reachable_oracle
 from pebblex.errors import CapExceededError, IllegalMoveError, PuzzleError
 from pebblex.graphs import (
     Graph,
@@ -145,7 +146,7 @@ def test_exchange_group_counts_match_the_reachable_set():
     boards += [square(path(6)), cycle(7), hypercube(3)]  # n = 6, 7 and 8
     for g in boards:
         auts = automorphisms(g)
-        reach = _p._py_search(puz_on(g), tuple(g.vertices), _p.DEFAULT_CAP)[0]
+        reach = set().union(*_levels(puz_on(g), tuple(g.vertices)))
         group, aut_order, states = exchange_group_counts(g)
         assert group.elements == tuple(sorted(p for p in auts if p in reach))
         assert (group.order, aut_order, states) == (
@@ -166,9 +167,18 @@ def test_hypercube_group_elements_are_involutions():
     assert (2, 4, 1, 3) not in group.elements
 
 
-def test_peb_is_normal():
-    assert is_peb_normal_in_aut(cycle(5))
-    assert is_peb_normal_in_aut(hypercube(2))
+def test_peb_is_normal(monkeypatch):
+    searches = []
+
+    def counted(g):
+        searches.append(g)
+        return automorphisms(g)
+
+    monkeypatch.setattr(_p, "automorphisms", counted)
+    for g in (cycle(5), hypercube(2)):
+        searches.clear()
+        assert is_peb_normal_in_aut(g)
+        assert searches == [g]  # one automorphism search per check
     with pytest.raises(ValueError):
         is_peb_normal_in_aut(star(6))  # Aut too large for the exhaustive check
 
@@ -210,16 +220,17 @@ def _agreement_instances():
 def _engine_answers(pz, start, targets):
     """(reachable set, count, equivalence verdicts) from each search core."""
     cap = _p.DEFAULT_CAP
-    seen, count, _ = _p._ranked_search(pz, start, cap)
-    visited, _, labels, radix = _p._np_search(pz, start, cap)
-    py_visited, _ = _p._py_search(pz, start, cap)
-    return {
-        "ranked": (_p._ranked_unpack(pz, seen), count,
-                   [_p._ranked_search(pz, start, cap, t)[2] for t in targets]),
-        "numpy": (_p._np_unpack(visited, labels, radix, pz.n), int(visited.size),
-                  [_p._np_search(pz, start, cap, t)[1] for t in targets]),
-        "python": (frozenset(py_visited), len(py_visited),
-                   [_p._py_search(pz, start, cap, t)[1] for t in targets]),
+    answers = {}
+    for engine, search, unpack in [
+        ("ranked", _p._ranked_search, _p._ranked_unpack),
+        ("packed", _p._np_search, _p._np_unpack),
+    ]:
+        visited, count, _ = search(pz, start, cap)
+        answers[engine] = (unpack(pz, visited), count,
+                           [search(pz, start, cap, t)[2] for t in targets])
+    levels = frozenset().union(*_levels(pz, start))
+    return answers | {
+        "levels": (levels, len(levels), [t in levels for t in targets]),
         "public": (reachable_set(pz, start), reachable_count(pz, start),
                    [equivalent(pz, start, t) for t in targets]),
     }
@@ -267,36 +278,80 @@ def _levels(pz, start):
     ids=["c5", "p4/star3", "p5^2", "q2", "c7/star6"],
 )
 def test_cap_boundary(pz):
-    # the dict engine serves boards over 15 vertices, so it is called
+    # boards over 7 vertices go to the packed-key engine, so it is called
     # directly here to hold it to the same boundary as the public entry
     start = identity_configuration(pz)
 
-    def py_count(pz, cap):
-        return len(_p._py_search(pz, start, cap)[0])
+    def packed_count(pz, cap):
+        return _p._np_search(pz, start, cap)[1]
 
-    def py_found(target, cap):
-        return _p._py_search(pz, start, cap, target)[1]
+    def packed_found(target, cap):
+        return _p._np_search(pz, start, cap, target)[2]
+
+    def witness(target, cap):
+        moves = bfs_witness(pz, start, target, cap=cap)
+        assert replay(pz, start, moves) == target
+        return len(moves)
 
     count = reachable_count(pz)
     message = f"visited {count} configurations, cap is {count - 1}"
-    for search in (reachable_count, reachable_set, py_count):
+    for search in (reachable_count, reachable_set, packed_count):
         with pytest.raises(CapExceededError) as exc:
             search(pz, cap=count - 1)
         assert str(exc.value) == message
     assert reachable_count(pz, cap=count) == count
     assert len(reachable_set(pz, cap=count)) == count
-    assert py_count(pz, cap=count) == count
-    # an equivalence query stops on the level where its target first
+    assert packed_count(pz, cap=count) == count
+    # a query with a target stops on the level where the target first
     # appears, and that level's states count against the cap
     levels = _levels(pz, start)
     assert sum(map(len, levels)) == count
     for depth in range(1, len(levels)):
         through = sum(len(level) for level in levels[: depth + 1])
         for target in (levels[depth][0], levels[depth][-1]):
-            for query in (functools.partial(equivalent, pz, start), py_found):
+            queries = (functools.partial(equivalent, pz, start), packed_found,
+                       witness)
+            for query in queries:
                 with pytest.raises(CapExceededError) as exc:
                     query(target, cap=through - 1)
                 assert str(exc.value) == (
                     f"visited {through} configurations, cap is {through - 1}"
                 )
                 assert query(target, cap=through)
+            assert witness(target, cap=through) == depth
+
+
+# boards over 15 vertices key each configuration as an n-byte string; these
+# cases run through the public entries on both sides of that boundary
+
+@pytest.mark.parametrize("desc", ["p16", "p20", "c17"])
+def test_packed_bytes_match_the_girth5_oracle(desc):
+    g = graph_from_desc(desc)
+    reach = reachable_set(puz_on(g))
+    assert reach == girth5_reachable_oracle(g)
+    assert reachable_count(puz_on(g)) == len(reach)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_equivalent_across_the_key_boundary(n):
+    pz = puz_on(path(n))
+    ident = identity_configuration(pz)
+    swapped = (2, 1, 4, 3) + ident[4:]
+    assert equivalent(pz, ident, swapped)
+    assert equivalent(pz, swapped, ident)
+    assert not equivalent(pz, ident, ident[::-1])
+    assert not equivalent(pz, ident, (1, 3, 2) + ident[3:][::-1])
+
+
+def test_cap_message_at_16_vertices():
+    pz = puz_on(path(16))
+    assert reachable_count(pz) == 1597  # the 17th Fibonacci number
+    for search in (reachable_count, reachable_set):
+        with pytest.raises(CapExceededError) as exc:
+            search(pz, cap=1596)
+        assert str(exc.value) == "visited 1597 configurations, cap is 1596"
+    ident = identity_configuration(pz)
+    with pytest.raises(CapExceededError) as exc:
+        equivalent(pz, ident, (2, 1) + ident[2:], cap=15)
+    assert str(exc.value) == "visited 16 configurations, cap is 15"
+    assert equivalent(pz, ident, (2, 1) + ident[2:], cap=16)

@@ -79,6 +79,23 @@ def test_seq_a_bfs_route():
         seq_A(4, via="meet-in-the-middle")
 
 
+# move lists recorded before the witness search was shared with the flip
+# oracle: parents are kept at first discovery, in frontier and edge order
+SEQ_A_BFS_MOVES = {
+    1: (),
+    2: ((1, 2),),
+    3: ((1, 3),),
+    4: ((1, 2), (3, 4), (1, 3), (2, 4)),
+    5: ((1, 2), (1, 3), (3, 4), (1, 3), (2, 4), (3, 5), (1, 3), (2, 3),
+        (3, 4), (3, 5)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEQ_A_BFS_MOVES))
+def test_seq_a_bfs_moves_are_pinned(n):
+    assert seq_A(n, via="bfs").moves == SEQ_A_BFS_MOVES[n]
+
+
 def test_seq_a_size_guard():
     with pytest.raises(ValueError):
         seq_A(17)
