@@ -9,6 +9,7 @@ descriptors, start and end arrangements, and the moves.  Anyone can replay
 it without trusting the builder.
 """
 
+import os
 import tempfile
 
 from pebblex import (
@@ -33,10 +34,13 @@ if __name__ == "__main__":
     with tempfile.NamedTemporaryFile("w", suffix=".cert", delete=False) as fh:
         fh.write(text)
         path = fh.name
-    print(f"wrote a 5-pebble certificate to {path}:")
-    print(text)
-    with open(path) as fh:
-        back = parse_certificate(fh.read()).validate()
+    try:
+        print(f"wrote a 5-pebble certificate to {path}:")
+        print(text)
+        with open(path) as fh:
+            back = parse_certificate(fh.read()).validate()
+    finally:
+        os.remove(path)
     print(f"replayed from disk: end = {back.end}")
 
     # a shortest sequence found by search, for contrast

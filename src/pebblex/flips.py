@@ -305,25 +305,47 @@ def _factorize(n):
 def _select_dict(g, sig):
     """Minimize (d, m) over coprime powers sig^e and vertices x, where
     d = dist(x, sig^e(x)) and m = orbit size of x; ties go to smaller
-    (e, x).  Returns (sig^e, e, x, d, m)."""
+    (e, x).  Returns (sig^e, e, x, d, m).
+
+    A power coprime to the order keeps every cycle of sig whole, so orbit
+    sizes are read once off sig's cycles and sig^e(x) is a step e along
+    x's cycle.  A vertex that stays put or lands on a neighbor beats every
+    farther one, so distances are searched, each vertex's at most once,
+    only when no such vertex exists.
+    """
+    place = {}  # vertex -> (its cycle, its position there)
+    for v in g.vertices:
+        if v not in place:
+            cyc = _dict_orbit(sig, v)
+            for i, w in enumerate(cyc):
+                place[w] = (cyc, i)
     ordr = _dict_order(sig)
-    best = None
-    pe = dict(sig)
-    cur = dict(sig)
+    near, far = [], []
     for e in range(1, ordr + 1):
-        if e > 1:
-            cur = _dict_compose(sig, cur)
         if math.gcd(e, ordr) != 1:
             continue
-        pe = cur
         for x in g.vertices:
-            y = pe[x]
-            d = 0 if y == x else distances_from(g, x)[y]
-            m = len(_dict_orbit(pe, x))
-            key = (d, m, e, x)
-            if best is None or key < best[0]:
-                best = (key, dict(pe), e, x, d, m)
-    _, pe, e, x, d, m = best
+            cyc, i = place[x]
+            m = len(cyc)
+            y = cyc[(i + e) % m]
+            if y == x:
+                near.append((0, m, e, x))
+            elif y in g.adj[x]:
+                near.append((1, m, e, x))
+            else:
+                far.append((m, e, x, y))
+    if near:
+        d, m, e, x = min(near)
+    else:
+        dists = {}
+        for _, _, x, _ in far:
+            if x not in dists:
+                dists[x] = distances_from(g, x)
+        d, m, e, x = min((dists[x][y], m, e, x) for m, e, x, y in far)
+    pe = {}
+    for v in sig:  # sig's key order, as composing powers of sig would give
+        cyc, i = place[v]
+        pe[v] = cyc[(i + e) % len(cyc)]
     return pe, e, x, d, m
 
 

@@ -44,8 +44,13 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) uses an unknown vertex")
             adj[u].add(v)
             adj[v].add(u)
+        self._fill(vs, {v: frozenset(ns) for v, ns in adj.items()})
+
+    def _fill(self, vs, adj):
+        """Set every slot from a sorted vertex tuple and a frozenset
+        adjacency that are already known to be valid."""
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "adj", {v: frozenset(ns) for v, ns in adj.items()})
+        object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_m", sum(len(ns) for ns in adj.values()) // 2)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
 
@@ -86,12 +91,21 @@ class Graph:
         return self.vertices == tuple(range(1, self.n + 1))
 
     def induced(self, keep):
-        """Induced subgraph on ``keep``; original labels are preserved."""
-        keep = set(keep)
-        return Graph(
-            keep,
-            [(u, v) for u, v in self.edges() if u in keep and v in keep],
-        )
+        """Induced subgraph on ``keep``; original labels are preserved.
+
+        Each adjacency is the parent's intersected with ``keep``; a label
+        the graph lacks becomes an isolated vertex.
+        """
+        keep = {int(v) for v in keep}
+        vs = tuple(sorted(keep))
+        if not vs:
+            raise ValueError("a graph needs at least one vertex")
+        if vs[0] < 1:
+            raise ValueError("vertex labels must be positive")
+        empty = frozenset()
+        sub = Graph.__new__(Graph)
+        sub._fill(vs, {v: self.adj.get(v, empty) & keep for v in vs})
+        return sub
 
     def relabeled(self, mapping):
         """Copy with every vertex v renamed mapping[v] (a bijection)."""

@@ -10,6 +10,12 @@ Grammar, innermost first:
 Examples: ``p7``, ``c5``, ``q3``, ``grid2x3``, ``p8^2~7``, ``mygraph.txt^2``.
 Descriptors make serialized certificates self-contained: whoever reads one
 can rebuild the exact board and pebble graphs from the descriptor alone.
+
+A builtin graph, squared when ``^2`` asks for it and before any deletion,
+may have at most ``MAX_VERTICES`` (10,000) vertices and ``MAX_EDGES``
+(200,000) edges.  Both counts follow from the descriptor's integers, so a
+descriptor such as ``k5000`` or ``q30`` is refused with a ValueError before
+any graph is built.
 """
 
 from __future__ import annotations
@@ -19,16 +25,48 @@ import re
 
 from . import graphs as _g
 
+MAX_VERTICES = 10_000
+MAX_EDGES = 200_000
+
 _BUILTIN = re.compile(
     r"^(?:p(?P<p>\d+)|c(?P<c>\d+)|star(?P<star>\d+)|k(?P<k>\d+)"
     r"|q(?P<q>\d+)|theta122|grid(?P<ga>\d+)x(?P<gb>\d+))$"
 )
 
 
+def _builtin_size(m, take_square):
+    """(vertices, edges) of the builtin graph a ``_BUILTIN`` match names,
+    squared when ``take_square``, computed without building it."""
+    if m.group("p"):
+        n = int(m.group("p"))
+        return n, max(2 * n - 3 if take_square else n - 1, 0)
+    if m.group("c"):
+        n = int(m.group("c"))
+        return n, n * min(n - 1, 4) // 2 if take_square else n
+    if m.group("star"):
+        leaves = int(m.group("star"))
+        return leaves + 1, (leaves + 1) * leaves // 2 if take_square else leaves
+    if m.group("k"):
+        n = int(m.group("k"))
+        return n, n * (n - 1) // 2
+    if m.group("q"):
+        d = min(int(m.group("q")), 64)  # past 64, 2**d is refused all the same
+        degree = d + d * (d - 1) // 2 if take_square else d
+        return 1 << d, (1 << d) * degree // 2
+    if m.group("ga"):
+        a, b = int(m.group("ga")), int(m.group("gb"))
+        edges = a * (b - 1) + b * (a - 1)
+        if take_square:  # two steps straight, or one step each way
+            edges += (a * max(b - 2, 0) + b * max(a - 2, 0)
+                      + 2 * max(a - 1, 0) * max(b - 1, 0))
+        return a * b, edges
+    return 7, 19 if take_square else 8  # theta122
+
+
 def graph_from_desc(desc, allow_files=True):
     """Build the graph a descriptor names.  Raises ValueError on a
     malformed descriptor or an unreadable file."""
-    desc = desc.strip()
+    desc = whole = desc.strip()
     deletions = []
     while True:
         m = re.search(r"~(\d+)$", desc)
@@ -41,6 +79,12 @@ def graph_from_desc(desc, allow_files=True):
         desc = desc[:-2]
     m = _BUILTIN.match(desc)
     if m:
+        nv, ne = _builtin_size(m, take_square)
+        if nv > MAX_VERTICES or ne > MAX_EDGES:
+            raise ValueError(
+                f"graph descriptor {whole!r} is too large: builtin graphs "
+                f"are limited to {MAX_VERTICES} vertices and {MAX_EDGES} edges"
+            )
         if m.group("p"):
             g = _g.path(int(m.group("p")))
         elif m.group("c"):

@@ -90,36 +90,43 @@ def check_configuration(puz, config):
     return tuple(config)
 
 
-def apply_move(puz, config, move):
-    """One pebble exchange; raises IllegalMoveError with the failed
-    condition spelled out."""
+def _move_in_place(puz, cfg, move):
+    """Check one pebble exchange and make it on the list ``cfg``; raises
+    IllegalMoveError with the failed condition spelled out."""
     x1, x2 = move
-    if not (puz.board.has_vertex(x1) and puz.board.has_vertex(x2)):
+    board = puz.board
+    if not (x1 in board.adj and x2 in board.adj):
         raise IllegalMoveError(f"move ({x1},{x2}) names a missing board vertex")
     if x1 == x2:
         raise IllegalMoveError(f"move ({x1},{x2}) must name two distinct vertices")
-    if not puz.board.has_edge(x1, x2):
+    if x2 not in board.adj[x1]:
         raise IllegalMoveError(
             f"board vertices {x1} and {x2} are not adjacent"
         )
-    i, j = puz.board.index_of(x1), puz.board.index_of(x2)
-    p1, p2 = config[i], config[j]
+    i, j = board.index_of(x1), board.index_of(x2)
+    p1, p2 = cfg[i], cfg[j]
     if not puz.pebbles.has_edge(p1, p2):
         raise IllegalMoveError(
             f"pebbles {p1} and {p2} (on board vertices {x1},{x2}) are not "
             f"adjacent in the pebble graph"
         )
+    cfg[i], cfg[j] = p2, p1
+
+
+def apply_move(puz, config, move):
+    """One pebble exchange; raises IllegalMoveError with the failed
+    condition spelled out."""
     out = list(config)
-    out[i], out[j] = p2, p1
+    _move_in_place(puz, out, move)
     return tuple(out)
 
 
 def replay(puz, start, moves):
     """Apply a move list from ``start``; returns the final configuration."""
-    cfg = check_configuration(puz, start)
+    cfg = list(check_configuration(puz, start))
     for mv in moves:
-        cfg = apply_move(puz, cfg, mv)
-    return cfg
+        _move_in_place(puz, cfg, mv)
+    return tuple(cfg)
 
 
 # ---------------------------------------------------------------------------

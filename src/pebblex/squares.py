@@ -18,19 +18,25 @@ expected configuration, and the finished certificate is replayed start to
 end, so a construction error raises SynthesisError instead of producing a
 bad certificate.
 
+The dense certificates behind the three families (labels 1..n) are built
+once per n and shared: they are frozen and hold only immutable graphs, so
+every compiled flip of length k reuses the one dense seq_A(k).
+
 Certificates serialize to text: a descriptor line naming both graphs, the
 start and end configurations, then the move list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass
 
 from .errors import IllegalMoveError, SynthesisError
-from .graphs import path, square
+from .graphs import Graph, path, square
 from .perms import is_automorphism
 from .puzzle import (
     Puz,
+    _move_in_place,
     apply_move,
     bfs_witness,
     identity_configuration,
@@ -127,27 +133,24 @@ def embed_subsequence(host, host_cfg, sub, board_map, pebble_map, where=""):
             f"{where}: host region matches neither orientation of the "
             f"sub-certificate"
         )
-    cfg = host_cfg
+    cfg = list(host_cfg)
     out = []
     for a, b in seq:
         mv = (board_map[a], board_map[b])
         try:
-            cfg = apply_move(host, cfg, mv)
+            _move_in_place(host, cfg, mv)
         except IllegalMoveError as exc:
             raise SynthesisError(f"{where}: renamed move {mv} is illegal: {exc}")
         out.append(mv)
     if not region_matches(cfg, target):
         raise SynthesisError(f"{where}: region mismatch after replay")
-    return cfg, out, SubPuzzleEmbedding(dict(board_map), dict(pebble_map), direction)
+    return (tuple(cfg), out,
+            SubPuzzleEmbedding(dict(board_map), dict(pebble_map), direction))
 
 
 # ---------------------------------------------------------------------------
 # the dense recursion (labels 1..n throughout; relabeling happens at the
 # public seq_B/seq_C seam)
-
-_B_MOVES = {1: (), 2: ((1, 2),)}
-_C_MOVES = {}
-
 
 def _board_b(n):
     """Squared path on 1..n minus the edge (n-2, n): the dense form of the
@@ -155,50 +158,57 @@ def _board_b(n):
     sq = square(path(n))
     if n < 3:
         return sq
-    edges = [e for e in sq.edges() if e != (n - 2, n)]
-    from .graphs import Graph
-
-    return Graph(sq.vertices, edges)
+    return Graph(sq.vertices, [e for e in sq.edges() if e != (n - 2, n)])
 
 
+@functools.lru_cache(maxsize=None)
 def _dense_b(n):
+    host = Puz(_board_b(n), square(path(n)))
     return MoveCertificate(
-        Puz(_board_b(n), square(path(n))),
+        host,
         tuple(range(1, n + 1)),
         reversal(n),
-        _b_moves(n),
+        _b_moves(host, n),
         board_desc=f"p{n + 1}^2~{n}",
         pebbles_desc=f"p{n}^2",
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _dense_a(n):
     sq = square(path(n))
     return MoveCertificate(
         Puz(sq, sq),
         tuple(range(1, n + 1)),
         reversal(n),
-        _b_moves(n),
+        _dense_b(n).moves,
         board_desc=f"p{n}^2",
         pebbles_desc=f"p{n}^2",
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _dense_c(n):
+    b = _dense_b(n)
+    t_start, t_moves = transpose_sequence(b.puz, b.start, b.moves)
+    if t_start != b.start:
+        raise SynthesisError("transposed start is not the identity")
     return MoveCertificate(
-        Puz(square(path(n)), _board_b(n)),
-        tuple(range(1, n + 1)),
+        Puz(b.puz.pebbles, b.puz.board),
+        b.start,
         reversal(n),
-        _c_moves(n),
+        tuple(t_moves),
         board_desc=f"p{n}^2",
         pebbles_desc=f"p{n + 1}^2~{n}",
     )
 
 
-def _b_moves(n):
-    if n in _B_MOVES:
-        return _B_MOVES[n]
-    host = Puz(_board_b(n), square(path(n)))
+def _b_moves(host, n):
+    """The moves of the dense B(n) on ``host``, built from smaller sizes."""
+    if n == 1:
+        return ()
+    if n == 2:
+        return ((1, 2),)
     cfg = tuple(range(1, n + 1))
     moves = []
 
@@ -239,20 +249,7 @@ def _b_moves(n):
     cfg = apply_move(host, cfg, (n - 1, n))
     moves.append((n - 1, n))
     expect(reversal(n), "stage 4")
-    _B_MOVES[n] = tuple(moves)
-    return _B_MOVES[n]
-
-
-def _c_moves(n):
-    if n in _C_MOVES:
-        return _C_MOVES[n]
-    host = Puz(_board_b(n), square(path(n)))
-    start = tuple(range(1, n + 1))
-    t_start, t_moves = transpose_sequence(host, start, _b_moves(n))
-    if t_start != start:
-        raise SynthesisError("transposed start is not the identity")
-    _C_MOVES[n] = tuple(t_moves)
-    return _C_MOVES[n]
+    return tuple(moves)
 
 
 def _check_n(n, allow_large):
@@ -424,7 +421,8 @@ def parse_certificate(text, provenance="file"):
         )
     try:
         board = graph_from_desc(parts["board"])
-        pebbles = graph_from_desc(parts["pebbles"])
+        pebbles = (board if parts["pebbles"] == parts["board"]
+                   else graph_from_desc(parts["pebbles"]))
     except ValueError as exc:
         raise ValueError(f"line {no}: {exc}")
     puz = Puz(board, pebbles)

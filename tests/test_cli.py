@@ -179,6 +179,43 @@ def test_replay_rejects_tampered_certificate(capsys, tmp_path):
     assert "replay ends at" in out.err
 
 
+# a reverse-square n=4 certificate with one line replaced, and the exact
+# stderr of replaying it; the last case rewrites the arrangements and the
+# move count so that the single move meets non-adjacent pebbles
+TAMPERED_MOVES = [
+    ({4: "1 9"}, "error: move (1,9) names a missing board vertex\n"),
+    ({4: "2 2"}, "error: move (2,2) must name two distinct vertices\n"),
+    ({4: "1 4"}, "error: board vertices 1 and 4 are not adjacent\n"),
+    ({1: "1 4 2 3", 2: "1 4 2 3", 3: "1", 4: "1 2"},
+     "error: pebbles 1 and 4 (on board vertices 1,2) are not adjacent in "
+     "the pebble graph\n"),
+]
+
+
+@pytest.mark.parametrize("edits,err", TAMPERED_MOVES)
+def test_replay_reports_the_illegal_move(capsys, tmp_path, edits, err):
+    cert = tmp_path / "tampered.cert"
+    code, _ = run(capsys, "reverse-square", "--n", "4", "--out", str(cert),
+                  "--no-timing")
+    assert code == 0
+    lines = cert.read_text().splitlines()
+    for no, text in edits.items():
+        lines[no] = text
+    if 3 in edits:
+        lines = lines[: 4 + int(edits[3])]
+    cert.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "replay", "--cert", str(cert))
+    assert (code, out.out, out.err) == (1, "", err)
+
+
+@pytest.mark.parametrize("desc", ["k5000", "q30", "p100000", "p100000^2~3"])
+def test_oversized_builtin_descriptor_exits_2(capsys, desc):
+    code, out = run(capsys, "aut", "--graph", desc)
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith(f"error: graph descriptor {desc!r} is too large")
+
+
 def test_reverse_square_size_guard(capsys):
     code, out = run(capsys, "reverse-square", "--n", "17")
     assert code == 2

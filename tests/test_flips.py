@@ -1,5 +1,7 @@
 """Flip moves, the flip BFS oracle, and the constructive realizer."""
 
+import math
+
 import pytest
 
 from pebblex import (
@@ -27,6 +29,7 @@ from pebblex.catalog import connected_graphs
 from pebblex.flips import _dict_power, _select_dict
 from pebblex.graphs import distances_from
 from pebblex.names import graph_from_desc
+from pebblex.perms import automorphisms_dict
 
 
 def path(n):
@@ -362,3 +365,37 @@ def test_select_dict_basepoint_invariants():
             orbit.add(y)
             y = powered[y]
         assert len(orbit) == m
+
+
+def _select_reference(g, sig):
+    # the definition, by brute force: every power sig^e with e coprime to
+    # the order, every vertex x, a fresh BFS and a fresh orbit walk each
+    order = 1
+    while _dict_power(sig, order) != {v: v for v in sig}:
+        order += 1
+    best = None
+    for e in range(1, order + 1):
+        if math.gcd(e, order) != 1:
+            continue
+        pe = _dict_power(sig, e)
+        for x in g.vertices:
+            m, y = 1, pe[x]
+            while y != x:
+                m, y = m + 1, pe[y]
+            key = (distances_from(g, x)[pe[x]], m, e, x)
+            if best is None or key < best[0]:
+                best = (key, pe)
+    (d, m, e, x), pe = best
+    return pe, e, x, d, m
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_select_dict_matches_the_brute_force_definition(n):
+    for g in connected_graphs(n):
+        for h in (g, g.relabeled({v: 3 * v + 1 for v in g.vertices})):
+            for sig in automorphisms_dict(h):
+                if all(v == w for v, w in sig.items()):
+                    continue
+                got = _select_dict(h, sig)
+                assert got == _select_reference(h, sig)
+                assert list(got[0]) == list(sig)  # same key order as sig

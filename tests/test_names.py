@@ -1,0 +1,62 @@
+"""Graph descriptors: the size each builtin names, and the limit on it."""
+
+import time
+
+import pytest
+
+from pebblex import graphs, names
+from pebblex.names import MAX_EDGES, MAX_VERTICES, graph_from_desc
+
+SMALL_BUILTINS = (
+    [f"p{n}" for n in range(1, 12)]
+    + [f"c{n}" for n in range(3, 12)]
+    + [f"star{n}" for n in range(1, 10)]
+    + [f"k{n}" for n in range(1, 10)]
+    + [f"q{d}" for d in range(1, 8)]
+    + [f"grid{a}x{b}" for a in range(1, 7) for b in range(1, 7)]
+    + ["theta122"]
+)
+
+
+@pytest.mark.parametrize("desc", SMALL_BUILTINS)
+def test_builtin_size_matches_the_built_graph(desc):
+    m = names._BUILTIN.match(desc)
+    for take_square in (False, True):
+        g = graph_from_desc(desc + ("^2" if take_square else ""))
+        assert names._builtin_size(m, take_square) == (g.n, g.m)
+
+
+@pytest.mark.parametrize("desc", ["k5000", "q30", "p100000"])
+def test_oversized_builtin_is_refused_before_any_graph(monkeypatch, desc):
+    built = []
+    real_init = graphs.Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.Graph, "__init__", counting)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        graph_from_desc(desc)
+    assert time.perf_counter() - t0 < 0.5
+    assert built == []
+    assert str(exc.value) == (
+        f"graph descriptor {desc!r} is too large: builtin graphs are "
+        f"limited to {MAX_VERTICES} vertices and {MAX_EDGES} edges"
+    )
+
+
+def test_size_limit_boundaries():
+    # at the limits exactly, the counts pass; one past, they do not
+    assert names._builtin_size(names._BUILTIN.match("p10000"), False) == (
+        MAX_VERTICES, MAX_VERTICES - 1)
+    assert names._builtin_size(names._BUILTIN.match("k633"), False)[1] > MAX_EDGES
+    assert names._builtin_size(names._BUILTIN.match("k632"), False)[1] <= MAX_EDGES
+    for desc in ("p10001", "k633", "q14", "c10001", "star632^2", "grid101x100"):
+        with pytest.raises(ValueError, match="too large"):
+            graph_from_desc(desc)
+    # deletions come after the check: the base graph is what gets built
+    with pytest.raises(ValueError, match="too large"):
+        graph_from_desc("p10001~5")
+    assert graph_from_desc("p10000~5").n == MAX_VERTICES - 1

@@ -1,14 +1,23 @@
 """Cross-checks of the graph machinery against networkx, which shares no
-code with the package: cut vertices, bridges, automorphism counts and the
-theta-graph test, on densely labeled graphs and on copies with gapped
-labels."""
+code with the package: induced subgraphs, cut vertices, bridges,
+automorphism counts and the theta-graph test, on densely labeled graphs and
+on copies with gapped labels."""
+
+import random
 
 import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from pebblex.catalog import connected_graphs
-from pebblex.graphs import bridges, cut_vertices, is_theta_122, theta_122
+from pebblex.graphs import (
+    Graph,
+    bridges,
+    cut_vertices,
+    is_theta_122,
+    path,
+    theta_122,
+)
 from pebblex.perms import automorphisms, automorphisms_dict, isomorphisms
 
 
@@ -27,6 +36,53 @@ def _with_gapped_copies(graphs):
     for g in graphs:
         yield g
         yield _gapped(g)
+
+
+def _edge_filter_induced(g, keep):
+    # the construction Graph.induced used to run: keep's labels as vertices,
+    # the parent's edges with both ends in keep, through the validating
+    # constructor
+    keep = set(keep)
+    return Graph(keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
+
+
+def _assert_same_graph(got, want):
+    assert got.vertices == want.vertices
+    assert got.adj == want.adj
+    assert got.m == want.m
+    assert ([got.index_of(v) for v in got.vertices]
+            == [want.index_of(v) for v in want.vertices] == list(range(got.n)))
+    assert got == want
+    assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_induced_matches_edge_filter_and_networkx(n):
+    rng = random.Random(n)
+    for g in _with_gapped_copies(connected_graphs(n)):
+        for _ in range(4):
+            keep = rng.sample(g.vertices, rng.randint(1, g.n))
+            got = g.induced(keep)
+            _assert_same_graph(got, _edge_filter_induced(g, keep))
+            want = _nx(g).subgraph(keep)
+            assert got.vertices == tuple(sorted(want.nodes))
+            assert got.edges() == tuple(sorted(
+                (min(e), max(e)) for e in want.edges))
+        _assert_same_graph(g.induced(g.vertices), g)
+
+
+def test_induced_keeps_a_foreign_label_as_an_isolated_vertex():
+    g = path(4)
+    for keep in ({2, 3, 9}, {9}, [1, 2, 2, 7]):
+        got = g.induced(keep)
+        _assert_same_graph(got, _edge_filter_induced(g, keep))
+    assert g.induced({2, 3, 9}).adj[9] == frozenset()
+    for bad in (set(), {0, 1}):
+        with pytest.raises(ValueError) as old:
+            _edge_filter_induced(g, bad)
+        with pytest.raises(ValueError) as new:
+            g.induced(bad)
+        assert str(new.value) == str(old.value)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

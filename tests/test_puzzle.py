@@ -77,6 +77,43 @@ def test_illegal_moves_are_distinguished():
     assert str(e2.value) != str(e3.value)
 
 
+# the four texts of the move check, as the package has always worded them;
+# (9, 9) shows the missing-vertex test runs before the distinctness test
+MOVE_ERRORS = [
+    ((1, 2, 3, 4), (1, 9), "move (1,9) names a missing board vertex"),
+    ((1, 2, 3, 4), (9, 9), "move (9,9) names a missing board vertex"),
+    ((1, 2, 3, 4), (2, 2), "move (2,2) must name two distinct vertices"),
+    ((1, 2, 3, 4), (1, 4), "board vertices 1 and 4 are not adjacent"),
+    ((1, 4, 2, 3), (1, 2),
+     "pebbles 1 and 4 (on board vertices 1,2) are not adjacent in the "
+     "pebble graph"),
+]
+
+
+@pytest.mark.parametrize("cfg,move,text", MOVE_ERRORS)
+def test_move_check_texts_are_pinned(cfg, move, text):
+    pz = puz_on(square(path(4)))
+    with pytest.raises(IllegalMoveError) as e1:
+        apply_move(pz, cfg, move)
+    assert str(e1.value) == text
+    with pytest.raises(IllegalMoveError) as e2:
+        replay(pz, cfg, [move])
+    assert str(e2.value) == text
+    if cfg == (1, 2, 3, 4):  # after a legal first move that puts 4 back
+        with pytest.raises(IllegalMoveError) as e3:
+            replay(pz, cfg, [(3, 4), (3, 4), move])
+        assert str(e3.value) == text
+
+
+def test_apply_move_and_replay_leave_their_inputs_alone():
+    pz = puz_on(square(path(4)))
+    start = (1, 2, 3, 4)
+    assert apply_move(pz, start, (1, 3)) == (3, 2, 1, 4)
+    assert replay(pz, start, [(1, 3), (2, 3), (3, 4)]) == (3, 1, 4, 2)
+    assert replay(pz, start, []) == start
+    assert start == (1, 2, 3, 4)
+
+
 def test_reach_counts():
     assert reachable_count(puz_on(path(3))) == 3
     # squared paths are feasible at small sizes

@@ -1,5 +1,6 @@
 """Reversal synthesis on squared paths and the certificate wire format."""
 
+import hashlib
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from pebblex import (
     parse_certificate,
     puz_on,
     reachable_set,
+    realize_by_flips,
     replay,
     reversal,
     seq_A,
@@ -22,7 +24,10 @@ from pebblex import (
     sequence_length,
     square,
 )
+from pebblex import names
+from pebblex.catalog import connected_graphs, trees
 from pebblex.names import graph_from_desc
+from pebblex.perms import automorphisms
 
 
 def path(n):
@@ -180,6 +185,27 @@ def test_compile_star_rotation():
     assert cert.end == (1, 3, 4, 2)
 
 
+# sha256 over the certificate text and the flip list of every automorphism
+# of every tree up to 7 vertices and every connected graph up to 5 (1,267
+# automorphisms), as the compiler has produced them since before its inputs
+# were memoized
+COMPILED_DIGEST = (
+    "e93deaf668ffe00bba950e7979303068b1708670c654dcd25730dfe330289f8d"
+)
+
+
+def test_compiled_certificates_are_pinned():
+    h = hashlib.sha256()
+    boards = [g for n in range(1, 8) for g in trees(n)]
+    boards += [g for n in range(1, 6) for g in connected_graphs(n)]
+    for g in boards:
+        for sigma in automorphisms(g):
+            cert = compile_automorphism_to_square_moves(g, sigma, board_desc="x")
+            h.update(format_certificate(cert).encode())
+            h.update(repr(realize_by_flips(g, sigma)).encode())
+    assert h.hexdigest() == COMPILED_DIGEST
+
+
 def test_compile_rejects_non_automorphism():
     with pytest.raises(ValueError):
         compile_automorphism_to_square_moves(path(4), (2, 1, 3, 4))
@@ -264,3 +290,23 @@ def test_parsed_certificate_replays_like_builder():
     back = parse_certificate(format_certificate(cert)).validate()
     assert back.end == cert.end
     assert back.moves == cert.moves
+
+
+@pytest.mark.parametrize("build,board,pebbles,calls", [
+    (seq_A, "p4^2", "p4^2", 1),
+    (seq_B, "p5^2~4", "p4^2", 2),
+])
+def test_parse_certificate_builds_each_distinct_graph_once(
+        monkeypatch, build, board, pebbles, calls):
+    seen = []
+
+    def counting(desc, *args, **kwargs):
+        seen.append(desc)
+        return graph_from_desc(desc, *args, **kwargs)
+
+    monkeypatch.setattr(names, "graph_from_desc", counting)
+    cert = build(4)
+    back = parse_certificate(format_certificate(cert)).validate()
+    assert len(seen) == calls
+    assert (back.puz.board, back.puz.pebbles) == (cert.puz.board, cert.puz.pebbles)
+    assert (back.board_desc, back.pebbles_desc) == (board, pebbles)
