@@ -9,6 +9,7 @@ from pebblex import (
     CapExceededError,
     Graph,
     PebblePathError,
+    RealizationError,
     all_flip_paths,
     apply_flip,
     automorphisms,
@@ -292,6 +293,27 @@ def test_realize_q2_rotation():
 
 def test_realize_identity_is_empty():
     assert realize_by_flips(path(5), (1, 2, 3, 4, 5)) == []
+
+
+# smallest depth_guard that realizes each automorphism; one less raises
+DEPTH_GUARD_PINS = [
+    ("c5", (2, 3, 4, 5, 1), 1),
+    ("c5", (5, 4, 3, 2, 1), 3),
+    ("p4", (4, 3, 2, 1), 2),
+    ("star3", (1, 3, 4, 2), 2),
+    ("star3", (1, 2, 4, 3), 3),
+    ("c6", (2, 3, 4, 5, 6, 1), 2),  # order 6: split into coprime parts
+]
+
+
+@pytest.mark.parametrize("desc,sigma,guard", DEPTH_GUARD_PINS)
+def test_realize_depth_guard_boundary(desc, sigma, guard):
+    g = graph_from_desc(desc)
+    seq = realize_by_flips(g, sigma, depth_guard=guard)
+    assert seq == realize_by_flips(g, sigma)
+    assert flip_sequence_permutation(g, seq) == sigma
+    with pytest.raises(RealizationError, match="^recursion depth guard exceeded$"):
+        realize_by_flips(g, sigma, depth_guard=guard - 1)
 
 
 def test_realize_rejects_bad_inputs():
