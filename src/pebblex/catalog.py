@@ -22,18 +22,18 @@ rooted canonical encodings from the centers), and the girth-constrained
 family only ever attaches a new vertex to pairwise-far neighbor sets,
 which preserves girth >= 5 by construction.
 
-Results are cached on disk keyed by family and size; set
-PEBBLEX_CACHE_DIR to move the cache out of the system temp directory.
+Each family is built once per process and memoized in memory by
+(family, n); a repeat call returns the same tuple of immutable graphs.
+``use_cache=False`` builds the whole chain afresh without reading or
+filling the memo.  Nothing is written to disk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
-import os
 import random
-import tempfile
 
 import numpy as np
 
@@ -42,9 +42,6 @@ from .graphs import Graph, distances_from, is_connected
 MAX_CONNECTED_N = 7
 MAX_TREE_N = 9
 MAX_GIRTH5_N = 8
-
-_CACHE_ENV = "PEBBLEX_CACHE_DIR"
-_CACHE_SUBDIR = "pebblex-catalog-v1"
 
 # canonical_key packs C(n, 2) slots plus one sentinel bit into an int64
 _MAX_KEY_N = 11
@@ -134,34 +131,25 @@ def canonical_key(g):
     return key | (1 << n * (n - 1) // 2)
 
 
-def _cache_dir():
-    root = os.environ.get(_CACHE_ENV) or tempfile.gettempdir()
-    return os.path.join(root, _CACHE_SUBDIR)
+_memo = {}
 
 
-def _cache_load(name):
-    try:
-        with open(os.path.join(_cache_dir(), name + ".json")) as fh:
-            payload = json.load(fh)
-        return tuple(
-            Graph(range(1, payload["n"] + 1), [tuple(e) for e in edges])
-            for edges in payload["graphs"]
-        )
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
+def _memoized(build):
+    """Serve ``build(n)`` from the process-wide memo keyed by (family, n).
+    ``use_cache=False`` rebuilds the whole chain, neither reading nor
+    filling the memo."""
 
+    @functools.wraps(build)
+    def family(n, use_cache=True):
+        if not use_cache:
+            return build(n, use_cache=False)
+        key = (build.__name__, n)
+        hit = _memo.get(key)
+        if hit is None:
+            hit = _memo.setdefault(key, build(n))
+        return hit
 
-def _cache_store(name, n, graphs):
-    try:
-        os.makedirs(_cache_dir(), exist_ok=True)
-        path = os.path.join(_cache_dir(), name + ".json")
-        tmp = path + ".tmp"
-        payload = {"n": n, "graphs": [[list(e) for e in g.edges()] for g in graphs]}
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # cache is best-effort
+    return family
 
 
 def _dedupe(candidates, n):
@@ -176,17 +164,13 @@ def _dedupe(candidates, n):
     return tuple(reps)
 
 
+@_memoized
 def connected_graphs(n, use_cache=True):
     """All connected graphs on n vertices, one per isomorphism class."""
     if not 1 <= n <= MAX_CONNECTED_N:
         raise ValueError(f"connected catalog covers 1..{MAX_CONNECTED_N}, got {n}")
     if n == 1:
         return (Graph([1]),)
-    name = f"connected_{n}"
-    if use_cache:
-        hit = _cache_load(name)
-        if hit is not None:
-            return hit
     parents = connected_graphs(n - 1, use_cache=use_cache)
     candidates = []
     for g in parents:
@@ -194,10 +178,7 @@ def connected_graphs(n, use_cache=True):
         for mask in range(1, 1 << (n - 1)):
             extra = tuple((v, n) for v in range(1, n) if mask >> (v - 1) & 1)
             candidates.append(base + extra)
-    reps = _dedupe(candidates, n)
-    if use_cache:
-        _cache_store(name, n, reps)
-    return reps
+    return _dedupe(candidates, n)
 
 
 def _ahu_key(g):
@@ -222,17 +203,13 @@ def _ahu_key(g):
     return min(encode(c, None) for c in alive)
 
 
+@_memoized
 def trees(n, use_cache=True):
     """All trees on n vertices, one per isomorphism class."""
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"tree catalog covers 1..{MAX_TREE_N}, got {n}")
     if n == 1:
         return (Graph([1]),)
-    name = f"trees_{n}"
-    if use_cache:
-        hit = _cache_load(name)
-        if hit is not None:
-            return hit
     seen = set()
     reps = []
     for g in trees(n - 1, use_cache=use_cache):
@@ -243,12 +220,10 @@ def trees(n, use_cache=True):
             if key not in seen:
                 seen.add(key)
                 reps.append(t)
-    reps = tuple(reps)
-    if use_cache:
-        _cache_store(name, n, reps)
-    return reps
+    return tuple(reps)
 
 
+@_memoized
 def girth5_graphs(n, use_cache=True):
     """Connected graphs on n vertices whose every cycle has length >= 5.
 
@@ -260,11 +235,6 @@ def girth5_graphs(n, use_cache=True):
         raise ValueError(f"girth-5 catalog covers 1..{MAX_GIRTH5_N}, got {n}")
     if n == 1:
         return (Graph([1]),)
-    name = f"girth5_{n}"
-    if use_cache:
-        hit = _cache_load(name)
-        if hit is not None:
-            return hit
     candidates = []
     for g in girth5_graphs(n - 1, use_cache=use_cache):
         base = tuple(g.edges())
@@ -275,10 +245,7 @@ def girth5_graphs(n, use_cache=True):
                 dist[a][b] >= 3 for a, b in itertools.combinations(nbrs, 2)
             ):
                 candidates.append(base + tuple((v, n) for v in nbrs))
-    reps = _dedupe(candidates, n)
-    if use_cache:
-        _cache_store(name, n, reps)
-    return reps
+    return _dedupe(candidates, n)
 
 
 def random_connected_graphs(count, seed, sizes=(5, 6, 7, 8)):

@@ -19,6 +19,10 @@ from .perms import isomorphisms
 
 INF = math.inf
 
+# largest graph a file header or a builtin descriptor may declare
+MAX_VERTICES = 10_000
+MAX_EDGES = 200_000
+
 
 class Graph:
     """Immutable simple undirected graph.
@@ -143,7 +147,9 @@ def parse_graph(text):
 
     Line 1 is ``n m``; the next m lines are ``u v`` with 1 <= u < v <= n.
     Lines starting with ``#`` and blank lines are ignored.  Errors name the
-    offending 1-based line of the original text.
+    offending 1-based line of the original text.  A header declaring more
+    than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` edges is refused before
+    anything is allocated.
     """
     header = None
     edges = []
@@ -165,6 +171,12 @@ def parse_graph(text):
                 raise GraphParseError("vertex count must be >= 1", line_no)
             if m < 0:
                 raise GraphParseError("edge count must be >= 0", line_no)
+            if n > MAX_VERTICES or m > MAX_EDGES:
+                raise GraphParseError(
+                    f"header declares {n} vertices and {m} edges; graph files "
+                    f"are limited to {MAX_VERTICES} vertices and {MAX_EDGES} edges",
+                    line_no,
+                )
             header = (n, m)
             continue
         if len(edges) >= m:

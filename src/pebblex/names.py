@@ -24,9 +24,7 @@ import os
 import re
 
 from . import graphs as _g
-
-MAX_VERTICES = 10_000
-MAX_EDGES = 200_000
+from .graphs import MAX_EDGES, MAX_VERTICES
 
 _BUILTIN = re.compile(
     r"^(?:p(?P<p>\d+)|c(?P<c>\d+)|star(?P<star>\d+)|k(?P<k>\d+)"

@@ -103,7 +103,7 @@ CATALOG_PINS = {
 
 @pytest.mark.parametrize("family", sorted(CATALOG_PINS))
 def test_catalogs_are_pinned(family):
-    # use_cache=False: a cached build would only read back an older file
+    # use_cache=False: build every size afresh rather than read the memo
     build, sizes, pin = CATALOG_PINS[family]
     h = hashlib.sha256()
     for n in sizes:
@@ -210,23 +210,27 @@ def test_random_connected_graphs_deterministic():
         assert is_connected(g)
 
 
-def test_cache_env_override(monkeypatch, tmp_path):
+def test_catalogs_ignore_files_in_the_old_cache_folder(monkeypatch, tmp_path):
+    # a well-formed file where earlier versions kept their disk cache must
+    # not be served as the catalog, and building writes no file at all
     monkeypatch.setenv("PEBBLEX_CACHE_DIR", str(tmp_path))
-    first = trees(6, use_cache=True)
-    cache_file = tmp_path / "pebblex-catalog-v1" / "trees_6.json"
-    assert cache_file.exists()
-    again = trees(6, use_cache=True)
-    assert [t.edges() for t in first] == [t.edges() for t in again]
-    # a corrupt cache entry is regenerated, not trusted
-    cache_file.write_text("{not json")
-    rebuilt = trees(6, use_cache=True)
-    assert len(rebuilt) == 6
+    monkeypatch.setattr(catalog, "_memo", {}, raising=False)
+    poisoned = tmp_path / "pebblex-catalog-v1" / "connected_5.json"
+    poisoned.parent.mkdir()
+    poisoned.write_text('{"n": 5, "graphs": [[[1,2]]]}')
+    cat = connected_graphs(5)
+    assert len(cat) == 21
+    assert all(is_connected(g) for g in cat)
+    for build, sizes, _ in CATALOG_PINS.values():
+        for n in sizes:
+            build(n)
+    assert list(tmp_path.rglob("*")) == [poisoned.parent, poisoned]
 
 
-def test_cache_round_trip_preserves_order(monkeypatch, tmp_path):
-    monkeypatch.setenv("PEBBLEX_CACHE_DIR", str(tmp_path))
+def test_memo_preserves_order():
     fresh = connected_graphs(4, use_cache=False)
-    cached_once = connected_graphs(4, use_cache=True)
-    cached_twice = connected_graphs(4, use_cache=True)
-    assert [g.edges() for g in fresh] == [g.edges() for g in cached_once]
-    assert [g.edges() for g in cached_once] == [g.edges() for g in cached_twice]
+    memo_once = connected_graphs(4)
+    memo_twice = connected_graphs(4)
+    assert [g.edges() for g in fresh] == [g.edges() for g in memo_once]
+    assert [g.edges() for g in memo_once] == [g.edges() for g in memo_twice]
+    assert memo_twice is memo_once

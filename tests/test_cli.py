@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -214,6 +215,17 @@ def test_oversized_builtin_descriptor_exits_2(capsys, desc):
     assert code == 2
     assert out.out == ""
     assert out.err.startswith(f"error: graph descriptor {desc!r} is too large")
+
+
+def test_oversized_graph_file_exits_2_before_allocating(capsys, tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000 0\n")
+    start = time.perf_counter()
+    code, out = run(capsys, "aut", "--graph", str(huge))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: line 1: header declares 1000000000 vertices")
 
 
 def test_reverse_square_size_guard(capsys):

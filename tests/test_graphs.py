@@ -4,6 +4,8 @@ import pytest
 
 from pebblex.errors import GraphParseError
 from pebblex.graphs import (
+    MAX_EDGES,
+    MAX_VERTICES,
     Graph,
     bridges,
     cartesian_product,
@@ -97,6 +99,22 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GraphParseError) as exc:
         parse_graph(text)
     assert str(exc.value).startswith(f"line {lineno}:")
+
+
+def test_parse_accepts_the_largest_header():
+    assert parse_graph(f"{MAX_VERTICES} 0").n == MAX_VERTICES == 10_000
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [(f"{MAX_VERTICES + 1} 0", 1), (f"# comment\n5 {MAX_EDGES + 1}\n", 2)],
+)
+def test_parse_refuses_oversized_headers(text, lineno):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert str(exc.value).startswith(f"line {lineno}: header declares")
+    assert str(exc.value).endswith(
+        f"limited to {MAX_VERTICES} vertices and {MAX_EDGES} edges")
 
 
 def test_constructors():

@@ -1,8 +1,12 @@
-"""Cross-checks of the graph machinery against networkx, which shares no
-code with the package: induced subgraphs, cut vertices, bridges,
-automorphism counts and the theta-graph test, on densely labeled graphs and
-on copies with gapped labels."""
+"""Cross-checks against oracles that share no code with the package:
+networkx for induced subgraphs, cut vertices, bridges, automorphism counts
+and the theta-graph test, on densely labeled graphs and on copies with
+gapped labels; and a count of acyclic orientations for the components of
+the path-board puzzle."""
 
+import functools
+import itertools
+import math
 import random
 
 import networkx as nx
@@ -19,6 +23,7 @@ from pebblex.graphs import (
     theta_122,
 )
 from pebblex.perms import automorphisms, automorphisms_dict, isomorphisms
+from pebblex.puzzle import Puz, reachable_set
 
 
 def _nx(g):
@@ -130,3 +135,68 @@ def test_theta_122_matches_networkx():
         assert got == nx.is_isomorphic(_nx(g), theta)
         hits += got
     assert hits == 2  # the theta graph and its gapped copy
+
+
+def _acyclic_orientations(n, edges):
+    """Acyclic orientations of the graph on vertices 0..n-1, by
+    a(G) = sum over nonempty independent S of (-1)^(|S|+1) a(G - S)."""
+    nbrs = [0] * n
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+
+    def independent(s):
+        return all(not (s >> v & 1 and nbrs[v] & s) for v in range(n))
+
+    @functools.lru_cache(maxsize=None)
+    def a(mask):
+        if not mask:
+            return 1
+        total, sub = 0, mask
+        while sub:
+            if independent(sub):
+                sign = 1 if bin(sub).count("1") % 2 else -1
+                total += sign * a(mask & ~sub)
+            sub = (sub - 1) & mask
+        return total
+
+    return a((1 << n) - 1)
+
+
+def test_acyclic_orientation_counts():
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        assert _acyclic_orientations(n, pairs) == math.factorial(n)
+        assert _acyclic_orientations(n, []) == 1
+        assert _acyclic_orientations(n, [(i, i + 1) for i in range(n - 1)]) == 2 ** (n - 1)
+        if n >= 3:
+            ring = [(i, (i + 1) % n) for i in range(n)]
+            assert _acyclic_orientations(n, ring) == 2 ** n - 2
+
+
+def _component_count(puz):
+    left = set(itertools.permutations(puz.pebbles.vertices))
+    count = 0
+    while left:
+        component = reachable_set(puz, min(left))
+        assert component <= left
+        left -= component
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_path_board_components_are_acyclic_orientations(n):
+    # Defant & Kravitz, Friends and strangers walking on graphs
+    # (arXiv:2009.05040): the components of the puzzle with the n-vertex
+    # path as board and pebble graph Y are as many as the acyclic
+    # orientations of Y's complement; swapping board and pebbles keeps them
+    board = path(n)
+    pairs = set(itertools.combinations(range(1, n + 1), 2))
+    for g in connected_graphs(n):
+        for edges in (set(g.edges()), pairs - set(g.edges())):
+            pebbles = Graph(range(1, n + 1), edges)
+            missing = [(u - 1, v - 1) for u, v in sorted(pairs - edges)]
+            want = _acyclic_orientations(n, missing)
+            assert _component_count(Puz(board, pebbles)) == want
+            assert _component_count(Puz(pebbles, board)) == want
