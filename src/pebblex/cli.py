@@ -7,11 +7,16 @@ files via --out.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict or failed
 replay, 2 usage or input-format error, 3 state cap exceeded.
+
+``main(argv)`` may be called any number of times in one process.  It builds
+the argparse parser on its first call and reuses it for every later one;
+argparse usage errors and ``--help`` raise ``SystemExit`` as usual.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,6 +44,10 @@ from .perms import automorphisms_dict, cycle_notation, isomorphisms, parse_perm
 from .puzzle import Puz
 
 _PRODUCT_PAIRS = (("p2", "p2"), ("p2", "p3"), ("p2", "p4"), ("p2", "c3"), ("p3", "p2"))
+# suite -> (the first board size its sweep checks, default --max-n); a
+# smaller --max-n would check nothing and still report a positive verdict
+_SWEEP_SIZES = {"prop2": (3, 8), "examples": (1, 7), "lemma-square": (1, 12),
+                "lemma-flips": (1, 7)}
 
 
 def _graph(desc):
@@ -248,6 +257,11 @@ def _cmd_classify(args):
 
 def _cmd_verify(args):
     suite = args.suite
+    first, top = _SWEEP_SIZES.get(suite, (1, None))
+    if args.max_n is not None:
+        if args.max_n < first:
+            raise ValueError(f"--max-n must be at least {first} for suite {suite}")
+        top = args.max_n
     reports = []
     if suite == "prop2":
         if args.graph:
@@ -255,8 +269,7 @@ def _cmd_verify(args):
                 classify.verify_prop2(_graph(args.graph), cap=args.cap, label=args.graph)
             )
         else:
-            top = args.max_n or 8
-            for n in range(3, top + 1):
+            for n in range(first, top + 1):
                 for i, g in enumerate(catalog.girth5_graphs(n)):
                     reports.append(
                         classify.verify_prop2(
@@ -276,14 +289,14 @@ def _cmd_verify(args):
     elif suite == "examples":
         reports.append(
             classify.verify_examples_agreement(
-                max_n=args.max_n or 7, cap=args.cap, jobs=args.jobs
+                max_n=top, cap=args.cap, jobs=args.jobs
             )
         )
     elif suite == "lemma-square":
-        reports.append(classify.verify_square_lemma(max_n=args.max_n or 12))
+        reports.append(classify.verify_square_lemma(max_n=top))
     elif suite == "lemma-flips":
         reports.append(
-            classify.verify_flip_lemma(max_n=args.max_n or 7, jobs=args.jobs)
+            classify.verify_flip_lemma(max_n=top, jobs=args.jobs)
         )
     elif suite == "parity":
         reports.append(classify.verify_parity_example(cap=args.cap))
@@ -303,6 +316,7 @@ def _add_common(sp, out=False, jobs=False):
                         help="worker processes for sweep suites")
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="pebblex",

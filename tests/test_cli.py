@@ -1,7 +1,11 @@
 """End-to-end runs of the command-line surface via its main() entry."""
 
+import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -10,7 +14,10 @@ from pebblex import cli
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = exc.code
     out = capsys.readouterr()
     return code, out
 
@@ -281,6 +288,28 @@ def test_verify_lemma_square_small(capsys):
     assert rep["verdict"] is True
 
 
+@pytest.mark.parametrize("suite,max_n,first", [
+    ("lemma-flips", "0", 1), ("lemma-square", "-2", 1), ("prop2", "2", 3),
+    ("examples", "0", 1),
+])
+def test_verify_refuses_max_n_below_the_first_size(capsys, suite, max_n, first):
+    # such a sweep checks no board, yet used to report "verdict": true
+    code, out = run(capsys, "verify", suite, "--max-n", max_n, "--no-timing")
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: --max-n must be at least {first} for suite {suite}\n"
+
+
+@pytest.mark.parametrize("suite,max_n,instance", [
+    ("prop2", "3", "girth>=5 board 3.0"),
+    ("lemma-square", "1", "squared-path reversal certificates, n=1..1"),
+    ("lemma-flips", "1", "flip realization sweep, connected boards n=1..1"),
+])
+def test_verify_max_n_boundary_is_inclusive(capsys, suite, max_n, instance):
+    code, rep = run_json(capsys, "verify", suite, "--max-n", max_n, "--no-timing")
+    assert code == 0 and rep["verdict"] is True
+    assert [r["instance"] for r in rep["reports"]] == [instance]
+
+
 def test_verify_product_requires_both_factors(capsys):
     code, out = run(capsys, "verify", "product", "--g1", "p2")
     assert code == 2
@@ -341,13 +370,56 @@ def test_no_timing_strips_nested_reports(capsys):
 
 # ---------------------------------------------------------------------------
 # golden output: --no-timing bytes recorded before the search engines were
-# reworked; a difference here is a change in what the CLI prints
+# reworked, and argparse usage errors and help text recorded before the parser
+# was reused across calls; a difference here is a change in what the CLI prints
 
 with open(pathlib.Path(__file__).with_name("cli_golden.json")) as _fh:
     GOLDEN = json.load(_fh)
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
-def test_golden_output(capsys, case):
+def test_golden_output(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to it
     code, out = run(capsys, *case["argv"], "--no-timing")
     assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_calls_in_one_process_do_not_leak(capsys, monkeypatch, tmp_path):
+    # main builds its parser once per process: an option given to one call
+    # must not reach the next, and a usage error must not spoil later calls
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = {tuple(c["argv"]): c for c in GOLDEN}
+    cert = str(tmp_path / "rev4.cert")
+    bfs = golden["reverse-square", "--n", "4", "--via", "bfs"]
+    with_out = bfs["stdout"].replace('"out": null', f'"out": {json.dumps(cert)}')
+    sequence = [
+        (["aut", "--graph", "star3", "--elements"],
+         golden["aut", "--graph", "star3", "--elements"]),
+        (["aut", "--graph", "star3"], golden["aut", "--graph", "star3"]),
+        (["reverse-square", "--n", "4", "--via", "bfs", "--out", cert],
+         dict(bfs, stdout=with_out)),
+        (["reverse-square", "--n", "4"], golden["reverse-square", "--n", "4"]),
+        (["reverse-square", "--n", "5", "--via", "dfs"],
+         golden["reverse-square", "--n", "5", "--via", "dfs"]),
+    ]
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "pebblex":
+            builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        for argv, want in sequence:
+            code, out = run(capsys, *argv, "--no-timing")
+            assert (code, out.out, out.err) == (want["code"], want["stdout"], want["stderr"])
+    assert len(builds) == 1
+    # a fresh process prints the same bytes as the calls above
+    argv, want = sequence[0]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "pebblex.cli", *argv, "--no-timing"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, want["stdout"], "")

@@ -1,5 +1,6 @@
 """Property tests for the text parsers: arbitrary input ends in a documented
-error, and every formatted value parses back to itself.
+error, and every formatted value parses back to itself.  Also the property
+that transposing a move sequence twice gives it back.
 
 Derandomized and without an example database, so each run tries the same
 inputs.  Hypothesis still caches source constants and Unicode tables, at
@@ -14,9 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from pebblex.catalog import connected_graphs
 from pebblex.errors import GraphParseError
 from pebblex.flips import format_flip_sequence, parse_flip_sequence
 from pebblex.graphs import Graph, format_graph, parse_graph
+from pebblex.puzzle import (
+    Puz,
+    apply_move,
+    replay,
+    transpose_configuration,
+    transpose_instance,
+    transpose_sequence,
+)
 
 _home = tempfile.TemporaryDirectory(prefix="pebblex-hypothesis-")
 set_hypothesis_home_dir(_home.name)
@@ -76,3 +86,37 @@ def test_graph_files_round_trip(g):
 @given(flip_sequences)
 def test_flip_sequences_round_trip(flips):
     assert parse_flip_sequence(format_flip_sequence(flips)) == flips
+
+
+@st.composite
+def legal_walks(draw):
+    """A catalog board, a random pebble graph labeled by any n positive ints,
+    a random start and a random walk of legal moves from it."""
+    n = draw(st.integers(2, 6))
+    board = draw(st.sampled_from(connected_graphs(n)))
+    labels = sorted(draw(st.sets(st.integers(1, 2 * n), min_size=n, max_size=n)))
+    pairs = list(itertools.combinations(labels, 2))
+    pebbles = Graph(labels, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    pz = Puz(board, pebbles)
+    start = cfg = tuple(draw(st.permutations(labels)))
+    moves = []
+    for _ in range(draw(st.integers(0, 12))):
+        legal = [(x1, x2) for x1, x2 in board.edges()
+                 if pebbles.has_edge(cfg[board.index_of(x1)], cfg[board.index_of(x2)])]
+        if not legal:
+            break
+        x1, x2 = draw(st.sampled_from(legal))
+        move = (x2, x1) if draw(st.booleans()) else (x1, x2)
+        moves.append(move)
+        cfg = apply_move(pz, cfg, move)
+    return pz, start, moves, cfg
+
+
+@fuzz
+@given(legal_walks())
+def test_transpose_sequence_is_an_involution(walk):
+    pz, start, moves, end = walk
+    t_start, t_moves = transpose_sequence(pz, start, moves)
+    tz = transpose_instance(pz)
+    assert replay(tz, t_start, t_moves) == transpose_configuration(pz, end)
+    assert transpose_sequence(tz, t_start, t_moves) == (start, moves)
