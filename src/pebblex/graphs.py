@@ -321,7 +321,12 @@ def girth(g):
 
 
 def square(g):
-    """Same vertices; edge between any two vertices at distance 1 or 2."""
+    """Same vertices; edge between any two vertices at distance 1 or 2.
+
+    Raises ValueError as soon as the edges collected exceed ``MAX_EDGES``,
+    before the graph is built: the square of a star on 10,000 vertices
+    would have about 50 million.
+    """
     edges = []
     for v in g.vertices:
         reach = set(g.adj[v])
@@ -329,6 +334,10 @@ def square(g):
             reach.update(g.adj[u])
         reach.discard(v)
         edges.extend((v, w) for w in reach if v < w)
+        if len(edges) > MAX_EDGES:
+            raise ValueError(
+                f"the square has more than MAX_EDGES = {MAX_EDGES} edges"
+            )
     return Graph(g.vertices, edges)
 
 

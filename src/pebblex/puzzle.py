@@ -21,7 +21,8 @@ two engines chosen from the number of vertices n in ``_engine``:
   deduplicated against a sorted array of visited keys.
 
 Move witnesses come from a third, parent-recording search over tuples,
-``_tuple_bfs``, which the flip oracle in ``flips`` shares.
+``_tuple_bfs``.  The flip oracle in ``flips`` reads the rank tables for
+boards up to 7 vertices and runs ``_tuple_bfs`` only on larger ones.
 """
 
 from __future__ import annotations

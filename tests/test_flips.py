@@ -1,6 +1,9 @@
 """Flip moves, the flip BFS oracle, and the constructive realizer."""
 
+import importlib.util
 import math
+import pathlib
+import random
 
 import pytest
 
@@ -26,6 +29,7 @@ from pebblex import (
     realize_by_flips,
     replay_flips,
 )
+from pebblex import flips
 from pebblex.catalog import connected_graphs
 from pebblex.flips import _dict_power, _select_dict
 from pebblex.graphs import distances_from
@@ -163,7 +167,8 @@ def test_flip_bfs_witness_replays():
 
 
 # shortest flip lists recorded before the flip oracle moved onto the shared
-# witness search: the same parent at first discovery, the same path order
+# witness search (c6 and grid2x3: before boards up to 7 vertices moved onto
+# permutation ranks): the same parent at first discovery, the same path order
 FLIP_BFS_WITNESSES = {
     "c5": {
         (1, 2, 3, 4, 5): [],
@@ -176,6 +181,26 @@ FLIP_BFS_WITNESSES = {
         (4, 5, 1, 2, 3): [(1, 2, 3, 4), (2, 3, 4, 5)],
         (5, 1, 2, 3, 4): [(1, 2, 3, 4), (1, 2, 3, 4, 5)],
         (5, 4, 3, 2, 1): [(1, 2, 3, 4, 5)],
+    },
+    "c6": {
+        (1, 2, 3, 4, 5, 6): [],
+        (1, 6, 5, 4, 3, 2): [(2, 3, 4, 5, 6)],
+        (2, 1, 6, 5, 4, 3): [(1, 6, 5, 4, 3, 2)],
+        (2, 3, 4, 5, 6, 1): [(1, 2, 3, 4, 5), (2, 1, 6, 5, 4, 3)],
+        (3, 2, 1, 6, 5, 4): [(1, 6, 5, 4, 3)],
+        (3, 4, 5, 6, 1, 2): [(1, 2, 3, 4, 5), (1, 6, 5, 4, 3)],
+        (4, 3, 2, 1, 6, 5): [(2, 1, 6, 5, 4, 3)],
+        (4, 5, 6, 1, 2, 3): [(1, 2, 3, 4, 5), (1, 6, 5, 4, 3, 2)],
+        (5, 4, 3, 2, 1, 6): [(1, 2, 3, 4, 5)],
+        (5, 6, 1, 2, 3, 4): [(1, 2, 3, 4, 5), (2, 3, 4, 5, 6)],
+        (6, 1, 2, 3, 4, 5): [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)],
+        (6, 5, 4, 3, 2, 1): [(1, 2, 3, 4, 5, 6)],
+    },
+    "grid2x3": {
+        (1, 2, 3, 4, 5, 6): [],
+        (3, 2, 1, 6, 5, 4): [(1, 4, 5, 6, 3)],
+        (4, 5, 6, 1, 2, 3): [(1, 2, 3, 6, 5, 4)],
+        (6, 5, 4, 3, 2, 1): [(1, 4, 5, 2, 3, 6)],
     },
     "p4": {(1, 2, 3, 4): [], (4, 3, 2, 1): [(1, 2, 3, 4)]},
     "star3": {
@@ -250,6 +275,101 @@ def test_flip_cap_boundary(desc):
                 )
             assert flip_bfs_oracle(g, target, cap=through) is True
             assert len(flip_bfs_witness(g, target, cap=through)) == depth
+
+
+def _witnesses(g, cap=10**6):
+    """Every flip-reachable permutation of g with its witness, from one
+    search."""
+    states, moves_to = flips._flip_bfs(g, None, cap)
+    return {sigma: moves_to(sigma) for sigma in states()}
+
+
+# every connected board up to 5 vertices and a seeded sample of six-vertex
+# ones, where the reference search takes 0.1-1.3 s each
+LEVEL_BOARDS = [g for n in range(1, 6) for g in connected_graphs(n)]
+LEVEL_BOARDS += random.Random(2024).sample(connected_graphs(6), 4)
+
+
+@pytest.mark.parametrize(
+    "g", LEVEL_BOARDS, ids=[f"n{g.n}m{g.m}-{i}" for i, g in enumerate(LEVEL_BOARDS)]
+)
+def test_ranked_flip_levels_match_the_reference(g):
+    # a witness's length is the BFS level of its permutation
+    levels = _flip_levels(g)
+    got = [set() for _ in levels]
+    for sigma, flips_to in _witnesses(g).items():
+        got[len(flips_to)].add(sigma)
+    assert [len(level) for level in got] == [len(level) for level in levels]
+    assert got == [set(level) for level in levels]
+
+
+@pytest.mark.parametrize("desc", ["c5", "q2", "star3", "grid2x3"])
+def test_ranked_and_tuple_flip_engines_agree(monkeypatch, desc):
+    g = graph_from_desc(desc)
+    ranked = _witnesses(g)
+    monkeypatch.setattr(flips, "_RANKED_MAX_N", 0)
+    assert _witnesses(g) == ranked
+
+
+@pytest.mark.parametrize("cells", [1, 45])
+def test_flip_blocks_keep_the_order_of_discovery(monkeypatch, cells):
+    # C5 has 20 flip paths: blocks of one and of two frontier rows
+    g = cycle(5)
+    whole = _witnesses(g)
+    monkeypatch.setattr(flips, "_FLIP_BLOCK_CELLS", cells)
+    assert _witnesses(g) == whole
+    assert flip_reachable_set(g) == set(whole)
+    for sigma, want in FLIP_BFS_WITNESSES["c5"].items():
+        assert flip_bfs_witness(g, sigma) == want
+
+
+@pytest.mark.parametrize("desc", ["c5", "p8"])  # the ranked and the tuple engine
+def test_flip_queries_refuse_non_arrangements(desc):
+    g = graph_from_desc(desc)
+    n = g.n
+    bad = [
+        tuple(range(1, n)),  # wrong length
+        (1, 1) + tuple(range(3, n + 1)),  # a repeated label
+        tuple(range(1, n)) + (n + 1,),  # a foreign label
+    ]
+    for sigma in bad:
+        for query in (flip_bfs_oracle, flip_bfs_witness):
+            # cap=0 would raise CapExceededError had any search started
+            with pytest.raises(ValueError, match="not an arrangement"):
+                query(g, sigma, cap=0)
+
+
+# BFS levels of the flip space of P8 by _flip_levels, which takes 1.3 s
+P8_FLIP_LEVELS = [1, 28, 252, 1050, 2310, 2772, 1716, 429]
+
+
+def _oracle_values():
+    spec = importlib.util.spec_from_file_location(
+        "oracle_values",
+        pathlib.Path(__file__).resolve().parents[1] / "scripts" / "oracle_values.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_flip_space_of_p8_on_the_tuple_engine():
+    # boards over puzzle._RANKED_MAX_N vertices search over tuples
+    oracle = _oracle_values()
+    reach = flip_reachable_set(path(8))
+    assert len(reach) == sum(P8_FLIP_LEVELS) == 8558
+    assert reach == oracle.flip_reachable(oracle.path(8))
+    count = len(reach)
+    with pytest.raises(CapExceededError) as exc:
+        flip_reachable_set(path(8), cap=count - 1)
+    assert str(exc.value) == f"visited {count} configurations, cap is {count - 1}"
+    # (2, 1, 4, 3, ...) takes two flips, and its level ends at 281 states
+    target = (2, 1, 4, 3, 5, 6, 7, 8)
+    through = sum(P8_FLIP_LEVELS[:3])
+    with pytest.raises(CapExceededError) as exc:
+        flip_bfs_oracle(path(8), target, cap=through - 1)
+    assert str(exc.value) == f"visited {through} configurations, cap is {through - 1}"
+    assert flip_bfs_witness(path(8), target, cap=through) == [(1, 2), (3, 4)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from pebblex import graphs, names
+from pebblex import graphs, names, squares
 from pebblex.names import MAX_EDGES, MAX_VERTICES, graph_from_desc
 
 SMALL_BUILTINS = (
@@ -60,3 +60,38 @@ def test_size_limit_boundaries():
     with pytest.raises(ValueError, match="too large"):
         graph_from_desc("p10001~5")
     assert graph_from_desc("p10000~5").n == MAX_VERTICES - 1
+
+
+def _write_graph(path, n, edges):
+    path.write_text(graphs.format_graph(graphs.Graph(range(1, n + 1), edges)))
+    return str(path)
+
+
+def test_square_of_a_file_graph_is_bounded(tmp_path):
+    # the file header passes parse_graph's limits; the square would not
+    star = _write_graph(tmp_path / "star.g", 10_000,
+                        [(1, v) for v in range(2, 10_001)])
+    assert graph_from_desc(star).m == 9_999
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        graph_from_desc(star + "^2")
+    assert time.perf_counter() - t0 < 0.5
+    assert str(exc.value) == (
+        f"the square has more than MAX_EDGES = {MAX_EDGES} edges")
+    with pytest.raises(ValueError, match="MAX_EDGES"):
+        squares.compile_automorphism_to_square_moves(
+            graphs.star(9_999), tuple(range(1, 10_001)))
+    path = _write_graph(tmp_path / "path.g", 10_000,
+                        [(v, v + 1) for v in range(1, 10_000)])
+    assert graph_from_desc(path + "^2").m == 2 * 10_000 - 3
+
+
+def test_square_edge_limit_is_inclusive():
+    # squares: star631 has 199,396 edges, p303 603 and one edge 1, so the
+    # disjoint union squares to exactly MAX_EDGES; one more edge is refused
+    edges = [(1, v) for v in range(2, 633)]
+    edges += [(v, v + 1) for v in range(633, 935)]
+    edges += [(936, 937)]
+    assert graphs.square(graphs.Graph(range(1, 938), edges)).m == MAX_EDGES
+    with pytest.raises(ValueError, match="MAX_EDGES"):
+        graphs.square(graphs.Graph(range(1, 940), edges + [(938, 939)]))
