@@ -17,8 +17,10 @@ two engines chosen from the number of vertices n in ``_engine``:
   BFS level reads its children from the swap table and marks them in an
   n!-entry visited array.
 * n > 7: each configuration packs into one sortable key, an int64 under
-  radix n up to 15 vertices and an n-byte string beyond, and each level is
-  deduplicated against a sorted array of visited keys.
+  radix n up to 15 vertices and an n-byte string beyond.  A move undoes
+  itself, so a child of level L lies on level L - 1, L or L + 1, and each
+  new level is deduplicated against the sorted keys of the two levels
+  before it only, not against everything visited.
 
 Move witnesses come from a third, parent-recording search over tuples,
 ``_tuple_bfs``.  The flip oracle in ``flips`` reads the rank tables for
@@ -43,9 +45,15 @@ DEFAULT_CAP = 50_000_000
 
 # Rank tables cost n! * C(n,2) int32 entries: 0.4 MB at n = 7, 4.5 MB at
 # n = 8 and 52 MB at n = 9.  The limit of 7 is a choice, not a measured
-# optimum: in one run of CLI queries, whose 8-vertex searches visit at most
-# 20,160 states, n = 8 tables peaked 7.8% higher in memory for no clear
-# speed gain, and n = 9 was not measured.
+# optimum.  With the limit at 8, against the packed search below, on a
+# 2-vCPU VM (medians of 20 warm calls, one process per board):
+# reachable_count of Q3 (744 states) took 1.0 ms ranked and 3.7-4.0 ms
+# packed, and of Puz(Q3, star7) (20,160 states) 10.2-10.7 ms ranked and
+# 17.5-18.1 ms packed; but the first ranked call built the n = 8 tables in
+# 87-100 ms, and peak RSS was 38.0 MB ranked and 32.5-33.3 MB packed (31.5
+# MB before the call).  In one run of CLI queries, whose 8-vertex searches
+# visit at most 20,160 states, n = 8 tables peaked 7.8% higher in memory;
+# n = 9 was not measured.
 _RANKED_MAX_N = 7
 _INT64_MAX_N = 15  # radix-n packed keys stay under 2**63 up to here
 
@@ -247,19 +255,25 @@ def _keys(rows):
 def _np_search(puz, start, cap, target=None):
     """Vectorized BFS over packed keys, for n > _RANKED_MAX_N.
 
-    Returns (visited, count, found): ``visited`` is the sorted array of
-    visited keys, which ``_np_unpack`` reads back.
+    A move undoes itself (the pebble matrix is symmetric), so every child
+    of a configuration on level L lies on level L - 1, L or L + 1: the
+    children of level L are checked against levels L - 1 and L only, never
+    against everything visited.
+
+    Returns (visited, count, found): ``visited`` holds the visited keys
+    level by level, unsorted, and ``_np_unpack`` reads it back.
     """
     idx = {p: k for k, p in enumerate(puz.pebbles.vertices)}
     P = _pebble_matrix(puz)
     edges = _edge_positions(puz)
 
     frontier = np.array([[idx[p] for p in start]], dtype=np.uint8)
-    visited = _keys(frontier)
+    levels = [_keys(frontier)]
+    count = 1
     target_key = None
     if target is not None:
         target_key = _keys(np.array([[idx[p] for p in target]], dtype=np.uint8))[0]
-    found = target_key == visited[0]
+    found = target_key == levels[0][0]
     while frontier.size and not found:
         kids = []
         for a, b in edges:
@@ -272,21 +286,23 @@ def _np_search(puz, start, cap, target=None):
             break
         C = np.concatenate(kids)
         ukeys, uidx = np.unique(_keys(C), return_index=True)
-        pos = np.minimum(np.searchsorted(visited, ukeys), visited.size - 1)
-        fresh = visited[pos] != ukeys
+        near = np.sort(np.concatenate(levels[-2:]))
+        pos = np.minimum(np.searchsorted(near, ukeys), near.size - 1)
+        fresh = near[pos] != ukeys
         if not fresh.any():
             break
         new_keys = ukeys[fresh]
         frontier = C[uidx[fresh]]
-        visited = np.sort(np.concatenate([visited, new_keys]))
-        if visited.size > cap:
+        levels.append(new_keys)
+        count += new_keys.size
+        if count > cap:
             raise CapExceededError(
-                f"visited {visited.size} configurations, cap is {cap}"
+                f"visited {count} configurations, cap is {cap}"
             )
         if target_key is not None:
             t = np.searchsorted(new_keys, target_key)
             found = t < new_keys.size and new_keys[t] == target_key
-    return visited, visited.size, bool(found)
+    return np.concatenate(levels), count, bool(found)
 
 
 def _np_unpack(puz, visited):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from pebblex import cli
+from pebblex import cli, squares
 
 
 def run(capsys, *argv):
@@ -154,6 +154,25 @@ def test_reverse_square_replay_round_trip(capsys, tmp_path):
     assert rep2["final"] == rep1["final"] == [6, 5, 4, 3, 2, 1]
     assert rep2["moves"] == 49
     assert rep2["board"] == "p6^2"
+
+
+@pytest.mark.parametrize("argv", [["--n", "6"], ["--n", "4", "--via", "bfs"]],
+                         ids=["recursive", "bfs"])
+def test_reverse_square_replays_once(capsys, monkeypatch, argv):
+    # seq_A returns a validated certificate on both routes; the CLI must not
+    # replay its moves a second time
+    calls = []
+    validate = squares.MoveCertificate.validate
+
+    def counting(cert):
+        calls.append(cert)
+        return validate(cert)
+
+    monkeypatch.setattr(squares.MoveCertificate, "validate", counting)
+    code, rep = run_json(capsys, "reverse-square", *argv, "--no-timing")
+    assert code == 0
+    assert len(calls) == 1
+    assert rep["final"] == list(calls[0].end)
 
 
 def test_compile_square_replay_round_trip(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import functools
+import importlib.util
 import math
+import pathlib
 import random
 
 import pytest
@@ -311,12 +313,15 @@ def _levels(pz, start):
 @pytest.mark.parametrize(
     "pz",
     [puz_on(cycle(5)), Puz(path(4), star(3)), puz_on(square(path(5))),
-     puz_on(hypercube(2)), Puz(cycle(7), star(6))],
-    ids=["c5", "p4/star3", "p5^2", "q2", "c7/star6"],
+     puz_on(hypercube(2)), Puz(cycle(7), star(6)), puz_on(hypercube(3)),
+     Puz(graph_from_desc("p9^2~8"), path(8)), puz_on(path(16))],
+    ids=["c5", "p4/star3", "p5^2", "q2", "c7/star6", "q3", "p9^2~8/p8",
+         "p16"],
 )
 def test_cap_boundary(pz):
-    # boards over 7 vertices go to the packed-key engine, so it is called
-    # directly here to hold it to the same boundary as the public entry
+    # boards over 7 vertices go to the packed-key engine (p16 on byte keys);
+    # it is also called directly so that the smaller boards hold it to the
+    # same boundary as the public entry
     start = identity_configuration(pz)
 
     def packed_count(pz, cap):
@@ -356,6 +361,39 @@ def test_cap_boundary(pz):
                 )
                 assert query(target, cap=through)
             assert witness(target, cap=through) == depth
+
+
+def _oracle_values():
+    spec = importlib.util.spec_from_file_location(
+        "oracle_values",
+        pathlib.Path(__file__).resolve().parents[1] / "scripts" / "oracle_values.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "pz, oracle_graphs, count",
+    [(puz_on(hypercube(3)), lambda o: (o.hypercube(3),) * 2, 744),
+     (Puz(hypercube(3), star(7)), lambda o: (o.hypercube(3), o.star(7)), 20160),
+     (puz_on(square(path(8))), lambda o: (o.square(o.path(8)),) * 2, 35892)],
+    ids=["q3", "q3/star7", "p8^2"],
+)
+def test_packed_search_matches_the_oracle(pz, oracle_graphs, count):
+    # boards over 7 vertices search on packed keys; the oracle is a plain
+    # BFS over tuples that shares no code with the package.  count is the
+    # identity's component; random starts may lie in other components
+    oracle = _oracle_values()
+    board, pebbles = oracle_graphs(oracle)
+    rng = random.Random(count)
+    ident = identity_configuration(pz)
+    starts = [ident] + [tuple(rng.sample(ident, pz.n)) for _ in range(2)]
+    reaches = [oracle.puzzle_bfs(board, pebbles, start) for start in starts]
+    assert len(reaches[0]) == count
+    for start, reach in zip(starts, reaches):
+        assert reachable_set(pz, start) == reach
+        assert reachable_count(pz, start) == len(reach)
 
 
 # boards over 15 vertices key each configuration as an n-byte string; these
