@@ -47,6 +47,7 @@ from .graphs import (
 from .names import graph_from_desc
 from .perms import (
     GroupSummary,
+    automorphism_count,
     automorphisms,
     automorphisms_dict,
     compose,

@@ -4,17 +4,23 @@ A permutation of a densely labeled n-vertex graph is a tuple ``p`` of length
 n with ``p[i-1]`` the image of vertex i.  Composition is right-to-left:
 ``compose(p, q)`` applies q first, then p.
 
-Every automorphism and isomorphism in the package comes from one matcher,
-``isomorphisms(g1, g2)``, which works on any label set and yields dicts.
-``automorphisms`` turns its output into tuples for densely labeled graphs,
-``automorphisms_dict`` keeps the dicts for graphs whose labels have gaps,
-and ``graphs.is_theta_122`` stops at its first match.
+Every automorphism and isomorphism in the package comes from one matcher
+loop, ``_matches``, over tables built once per pair of graphs; it works on
+any label set and can start from a pinned prefix of images.
+``isomorphisms(g1, g2)`` yields its matches as dicts.  ``automorphisms``
+turns them into tuples for densely labeled graphs, ``automorphisms_dict``
+keeps the dicts for graphs whose labels have gaps, and
+``graphs.is_theta_122`` stops at the first match.  ``automorphism_count``
+gives the group order without listing the group: it multiplies the orbit
+sizes down the point-stabilizer chain of the sorted vertices, and each
+orbit point costs one pinned search that stops at its first match.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # automorphisms() refuses larger graphs, whose groups can be huge
 _MAX_AUT_N = 16
@@ -128,20 +134,18 @@ def is_automorphism(g, p):
     return all(g.has_edge(p[u - 1], p[v - 1]) for u, v in g.edges())
 
 
-def isomorphisms(g1, g2):
-    """Every isomorphism from g1 onto g2, as dicts from g1's labels to g2's.
+class _Tables(NamedTuple):
+    """What the matcher needs of one pair of graphs, built once per pair."""
 
-    One backtracking matcher for arbitrary labels.  The vertices of g1 are
-    matched in ascending order and the candidate images tried in ascending
-    order, so the dicts come out lexicographic by image over g1's sorted
-    vertices.  A candidate must have the right degree, be adjacent to the
-    images of the already matched neighbors and to no other image; with g2's
-    vertices as bits of an int, each test is a few mask operations.
-    """
+    vs1: tuple  # g1's sorted vertices, matched in this order
+    vs2: tuple  # g2's sorted vertices; an image is an index into it
+    adj2: list  # neighbors of vs2[k], as bits over vs2
+    degree_mask: list  # vs2 vertices of the degree of vs1[i], as bits
+    back: list  # indexes of vs1[i]'s neighbors that are matched before it
+
+
+def _tables(g1, g2):
     vs1, vs2 = g1.vertices, g2.vertices
-    n = len(vs1)
-    if n != len(vs2) or g1.m != g2.m:
-        return
     bit = {w: 1 << k for k, w in enumerate(vs2)}
     adj2 = [sum(bit[u] for u in g2.adj[w]) for w in vs2]
     by_degree = {}
@@ -151,12 +155,25 @@ def isomorphisms(g1, g2):
     degree_mask = [by_degree.get(g1.degree(v), 0) for v in vs1]
     pos = {v: i for i, v in enumerate(vs1)}
     back = [[pos[u] for u in g1.adj[v] if pos[u] < i] for i, v in enumerate(vs1)]
+    return _Tables(vs1, vs2, adj2, degree_mask, back)
+
+
+def _matches(tables, pinned=()):
+    """The backtracking loop: yields the image list (indexes into vs2,
+    overwritten by the next match) of every isomorphism whose first
+    len(pinned) images are ``pinned``, in lexicographic order of images."""
+    _, vs2, adj2, degree_mask, back = tables
+    n = len(vs2)
+    masks = degree_mask
+    if pinned:  # a pinned level has one candidate, which the loop still checks
+        masks = [m & (1 << k) for m, k in zip(degree_mask, pinned)]
+        masks += degree_mask[len(pinned):]
     img = [0] * n  # index in vs2 of the image of vs1[i]
     options = [0] * n  # candidate images of vs1[i] not yet tried, as bits
     want = [0] * n  # images of the matched neighbors of vs1[i], as bits
     used = 0
     i = 0
-    options[0] = degree_mask[0]
+    options[0] = masks[0]
     while i >= 0:
         m = options[i]
         if not m:
@@ -171,16 +188,81 @@ def isomorphisms(g1, g2):
             continue
         img[i] = k
         if i == n - 1:
-            yield {v: vs2[img[t]] for t, v in enumerate(vs1)}
+            yield img
             continue
         used |= low
         i += 1
-        m = degree_mask[i] & ~used
+        m = masks[i] & ~used
         nbrs = 0
         for j in back[i]:
             m &= adj2[img[j]]
             nbrs |= 1 << img[j]
         options[i], want[i] = m, nbrs
+
+
+def isomorphisms(g1, g2):
+    """Every isomorphism from g1 onto g2, as dicts from g1's labels to g2's.
+
+    One backtracking matcher for arbitrary labels.  The vertices of g1 are
+    matched in ascending order and the candidate images tried in ascending
+    order, so the dicts come out lexicographic by image over g1's sorted
+    vertices.  A candidate must have the right degree, be adjacent to the
+    images of the already matched neighbors and to no other image; with g2's
+    vertices as bits of an int, each test is a few mask operations.  The
+    loop (``_matches``) can also start from a pinned prefix of images, which
+    is how ``automorphism_count`` asks whether one extension exists.
+    """
+    if g1.n != g2.n or g1.m != g2.m:
+        return
+    tables = _tables(g1, g2)
+    vs1, vs2 = tables.vs1, tables.vs2
+    for img in _matches(tables):
+        yield {v: vs2[img[t]] for t, v in enumerate(vs1)}
+
+
+def _orbit(point, gens):
+    """The orbit of ``point`` under the group generated by ``gens``."""
+    orbit = {point}
+    todo = [point]
+    for p in todo:
+        for s in gens:
+            if s[p] not in orbit:
+                orbit.add(s[p])
+                todo.append(s[p])
+    return orbit
+
+
+def automorphism_count(g):
+    """|Aut(g)| for any labels, without listing the group.
+
+    With v_0 < ... < v_{n-1} the sorted vertices and G_i the automorphisms
+    that fix v_0..v_{i-1}, |Aut(g)| is the product over i of the size of
+    v_i's orbit under G_i (orbit-stabilizer).  The levels are walked from
+    the last vertex to the first, so every automorphism found so far fixes
+    the current prefix; the orbit starts as v_i's closure under them, and
+    each remaining candidate w gets one search, pinned to fix the prefix
+    and send v_i to w, that stops at its first match.  A match joins the
+    generators, so they generate G_i when the level ends.
+    """
+    tables = _tables(g, g)
+    adj, degree_mask = tables.adj2, tables.degree_mask
+    n = len(adj)
+    gens = []  # index tuples; a vertex's index is its bit
+    order = 1
+    for i in range(n - 1, -1, -1):
+        before = (1 << i) - 1  # the fixed vertices v_0..v_{i-1}, as bits
+        orbit = _orbit(i, gens)
+        for w in range(i + 1, n):
+            # w needs v_i's degree and v_i's neighbors among the fixed ones
+            if (w in orbit or not degree_mask[i] >> w & 1
+                    or (adj[w] ^ adj[i]) & before):
+                continue
+            img = next(_matches(tables, [*range(i), w]), None)
+            if img is not None:
+                gens.append(tuple(img))
+                orbit = _orbit(i, gens)
+        order *= len(orbit)
+    return order
 
 
 def automorphisms(g):

@@ -131,10 +131,25 @@ def apply_move(puz, config, move):
 
 
 def replay(puz, start, moves):
-    """Apply a move list from ``start``; returns the final configuration."""
+    """Apply a move list from ``start``; returns the final configuration.
+
+    A move whose board vertices are adjacent and whose pebbles are adjacent
+    is made in place; any other goes through ``_move_in_place``, which
+    raises with the failed condition spelled out.  Nothing is built per
+    call, since most certificates are a few moves long.
+    """
     cfg = list(check_configuration(puz, start))
-    for mv in moves:
-        _move_in_place(puz, cfg, mv)
+    board_adj = puz.board.adj
+    index = puz.board._index  # the dict board.index_of reads, without a call
+    pebble_adj = puz.pebbles.adj
+    for x1, x2 in moves:
+        if x2 in board_adj.get(x1, ()):
+            i, j = index[x1], index[x2]
+            p1, p2 = cfg[i], cfg[j]
+            if p2 in pebble_adj[p1]:
+                cfg[i], cfg[j] = p2, p1
+                continue
+        _move_in_place(puz, cfg, (x1, x2))
     return tuple(cfg)
 
 

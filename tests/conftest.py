@@ -1,0 +1,17 @@
+import importlib.util
+import pathlib
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """scripts/oracle_values.py: brute-force values that share no code with
+    the package."""
+    spec = importlib.util.spec_from_file_location(
+        "oracle_values",
+        pathlib.Path(__file__).resolve().parents[1] / "scripts" / "oracle_values.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

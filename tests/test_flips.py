@@ -1,8 +1,6 @@
 """Flip moves, the flip BFS oracle, and the constructive realizer."""
 
-import importlib.util
 import math
-import pathlib
 import random
 
 import pytest
@@ -343,19 +341,8 @@ def test_flip_queries_refuse_non_arrangements(desc):
 P8_FLIP_LEVELS = [1, 28, 252, 1050, 2310, 2772, 1716, 429]
 
 
-def _oracle_values():
-    spec = importlib.util.spec_from_file_location(
-        "oracle_values",
-        pathlib.Path(__file__).resolve().parents[1] / "scripts" / "oracle_values.py",
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_flip_space_of_p8_on_the_tuple_engine():
+def test_flip_space_of_p8_on_the_tuple_engine(oracle):
     # boards over puzzle._RANKED_MAX_N vertices search over tuples
-    oracle = _oracle_values()
     reach = flip_reachable_set(path(8))
     assert len(reach) == sum(P8_FLIP_LEVELS) == 8558
     assert reach == oracle.flip_reachable(oracle.path(8))

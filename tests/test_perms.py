@@ -1,10 +1,14 @@
+import math
 import random
 
 import pytest
 
+from pebblex.catalog import connected_graphs, trees
 from pebblex.graphs import complete, cycle, hypercube, path, star, theta_122
+from pebblex.names import graph_from_desc
 from pebblex.perms import (
     GroupSummary,
+    automorphism_count,
     automorphisms,
     automorphisms_dict,
     compose,
@@ -117,3 +121,51 @@ def test_group_summary():
     g = GroupSummary.from_elements([(1, 2), (2, 1), (1, 2)])
     assert g.order == 2
     assert g.elements == ((1, 2), (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the group order from the stabilizer chain, against the listed group
+
+def test_automorphism_count_matches_the_list_on_small_catalogs():
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [g for n in range(1, 10) for g in trees(n)]
+    assert len(graphs) == 996 + 95
+    for g in graphs:
+        assert automorphism_count(g) == len(automorphisms(g)), g.edges()
+
+
+def test_automorphism_count_on_gapped_labels():
+    g = graph_from_desc("c6~3")
+    assert not g.is_dense_labeled()
+    assert automorphism_count(g) == len(automorphisms_dict(g)) == 2
+
+
+def test_automorphism_count_on_a_disconnected_file_graph(tmp_path):
+    # two triangles, a path on three vertices and an isolated vertex:
+    # 2 * 3! * 3! for the triangles, 2 for the path
+    f = tmp_path / "parts.txt"
+    f.write_text("10 8\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6\n7 8\n8 9\n")
+    g = graph_from_desc(str(f))
+    assert automorphism_count(g) == len(automorphisms(g)) == 144
+
+
+def test_automorphism_count_against_the_brute_force_oracle(oracle):
+    for desc, adj in (("q3", oracle.hypercube(3)), ("theta122", oracle.theta122()),
+                      ("grid2x3", oracle.grid(2, 3))):
+        assert automorphism_count(graph_from_desc(desc)) == oracle.automorphism_count(adj)
+
+
+@pytest.mark.parametrize(
+    "desc,order",
+    [
+        ("k12", math.factorial(12)),
+        ("k16", math.factorial(16)),
+        ("star15", math.factorial(15)),
+        ("q5", 2 ** 5 * math.factorial(5)),
+        ("q6", 2 ** 6 * math.factorial(6)),
+        ("c20", 40),
+    ],
+)
+def test_automorphism_count_closed_forms(desc, order):
+    # groups far too large to list
+    assert automorphism_count(graph_from_desc(desc)) == order

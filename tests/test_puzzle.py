@@ -1,8 +1,7 @@
 import functools
-import importlib.util
 import math
-import pathlib
 import random
+import re
 
 import pytest
 
@@ -114,6 +113,46 @@ def test_apply_move_and_replay_leave_their_inputs_alone():
     assert replay(pz, start, [(1, 3), (2, 3), (3, 4)]) == (3, 1, 4, 2)
     assert replay(pz, start, []) == start
     assert start == (1, 2, 3, 4)
+
+
+def test_replay_agrees_with_one_move_at_a_time():
+    # replay makes legal moves without apply_move's checks; it must end where
+    # apply_move ends, or fail at the same move with the same message, also
+    # on gapped labels and for moves given as lists
+    board = graph_from_desc("p6^2~3")
+    pebbles = Graph([2, 4, 6, 8, 10], [(u, v) for u in range(2, 11, 2)
+                                       for v in range(u + 2, 11, 2) if (u, v) != (2, 4)])
+    pz = Puz(board, pebbles)
+    labels = list(board.vertices) + [3, 7]
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(300):
+        start = tuple(rng.sample(pebbles.vertices, 5))
+        moves = [rng.choice(board.edges()) if rng.random() < 0.9
+                 else (rng.choice(labels), rng.choice(labels)) for _ in range(6)]
+        moves = [mv[::-1] if rng.random() < 0.5 else mv for mv in moves]
+        try:
+            cfg = start
+            for mv in moves:
+                cfg = apply_move(pz, cfg, mv)
+            want = cfg
+        except IllegalMoveError as exc:
+            want = str(exc)
+        for given in (moves, [list(mv) for mv in moves]):
+            try:
+                got = replay(pz, start, given)
+            except IllegalMoveError as exc:
+                got = str(exc)
+            assert got == want
+        outcomes.add(re.sub(r"\d+", "#", want) if isinstance(want, str) else "end")
+    # every kind of outcome came up: an end, and each of the four messages
+    assert outcomes == {
+        "end",
+        "move (#,#) names a missing board vertex",
+        "move (#,#) must name two distinct vertices",
+        "board vertices # and # are not adjacent",
+        "pebbles # and # (on board vertices #,#) are not adjacent in the pebble graph",
+    }
 
 
 def test_reach_counts():
@@ -363,16 +402,6 @@ def test_cap_boundary(pz):
             assert witness(target, cap=through) == depth
 
 
-def _oracle_values():
-    spec = importlib.util.spec_from_file_location(
-        "oracle_values",
-        pathlib.Path(__file__).resolve().parents[1] / "scripts" / "oracle_values.py",
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize(
     "pz, oracle_graphs, count",
     [(puz_on(hypercube(3)), lambda o: (o.hypercube(3),) * 2, 744),
@@ -380,11 +409,10 @@ def _oracle_values():
      (puz_on(square(path(8))), lambda o: (o.square(o.path(8)),) * 2, 35892)],
     ids=["q3", "q3/star7", "p8^2"],
 )
-def test_packed_search_matches_the_oracle(pz, oracle_graphs, count):
+def test_packed_search_matches_the_oracle(pz, oracle_graphs, count, oracle):
     # boards over 7 vertices search on packed keys; the oracle is a plain
     # BFS over tuples that shares no code with the package.  count is the
     # identity's component; random starts may lie in other components
-    oracle = _oracle_values()
     board, pebbles = oracle_graphs(oracle)
     rng = random.Random(count)
     ident = identity_configuration(pz)
