@@ -1,8 +1,10 @@
 import functools
+import hashlib
 import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from pebblex import puzzle as _p
@@ -279,6 +281,24 @@ def test_transpose_sequence_self_validates():
     replay(tz, t_start, t_moves)
 
 
+@pytest.mark.parametrize(
+    "pz, moves, text",
+    [(Puz(complete(4), path(4)), [(1, 2), (2, 3), (1, 3)],
+      "pebbles 1 and 3 (on board vertices 2,3) are not adjacent in the "
+      "pebble graph"),
+     (Puz(complete(4), path(4)), [(1, 2), (3, 3)],
+      "move (3,3) must name two distinct vertices"),
+     (Puz(path(4), complete(4)), [(1, 2), (2, 3), (1, 3)],
+      "board vertices 1 and 3 are not adjacent")],
+)
+def test_transpose_sequence_rejects_an_illegal_move(pz, moves, text):
+    # the texts transpose_sequence raised when it made each move by
+    # apply_move, recorded before it moved in place
+    with pytest.raises(IllegalMoveError) as exc:
+        transpose_sequence(pz, (1, 2, 3, 4), moves)
+    assert str(exc.value) == text
+
+
 def _agreement_instances():
     """A few hand-picked instances, every connected board up to 5 vertices
     against path, clique and star pebbles, then pebble graphs labeled other
@@ -458,3 +478,92 @@ def test_cap_message_at_16_vertices():
         equivalent(pz, ident, (2, 1) + ident[2:], cap=15)
     assert str(exc.value) == "visited 16 configurations, cap is 15"
     assert equivalent(pz, ident, (2, 1) + ident[2:], cap=16)
+
+
+# count and sha256 of the sorted reachable set, recorded before the packed
+# engine stepped keys by per-edge deltas: int64 keys from 8 vertices
+# (the board of p9^2~8 skips the label 8), byte keys from 16
+
+@pytest.mark.parametrize(
+    "pz, count, digest",
+    [(puz_on(hypercube(3)), 744,
+      "0bff6af30b5c14fe38dff591cc26945c03fd23fb41f35e74b9c87a32ffb16755"),
+     (Puz(hypercube(3), star(7)), 20160,
+      "0472caea158dac41e16c13678dbedb3bff5505dcabcb85965b77a8961c33b623"),
+     (puz_on(complete(8)), 40320,
+      "8416f2f2657578027c10c90eeb537fd67bd63e3ef951090a1959ee35fb96e911"),
+     (Puz(graph_from_desc("p9^2~8"), path(8)), 181,
+      "5dee8bf43b57a7fdd5c7a0a3e73ea2a3941aeb6747ab78d04d94602643422eb2"),
+     (puz_on(path(16)), 1597,
+      "60d9bd3c46818d352de66a22cb61b32093f03f9b3665deeb06cf8b7e88420aa5"),
+     (puz_on(cycle(17)), 3571,
+      "943e8559b1a7511a4af25251669ff0058042132c740fd174082d1bc7d6b1b726")],
+    ids=["q3", "q3/star7", "k8", "p9^2~8/p8", "p16", "c17"],
+)
+def test_packed_reachable_sets_are_pinned(pz, count, digest):
+    reach = reachable_set(pz)
+    assert len(reach) == count
+    assert hashlib.sha256(repr(sorted(reach)).encode()).hexdigest() == digest
+
+
+def test_p9_squared_answers_are_pinned():
+    pz = puz_on(square(path(9)))
+    assert reachable_count(pz) == 245690
+    rng = random.Random(9)
+    ident = identity_configuration(pz)
+    pairs = [(tuple(rng.sample(ident, 9)), tuple(rng.sample(ident, 9)))
+             for _ in range(5)]
+    verdicts = [equivalent(pz, a, b) for a, b in pairs]
+    assert verdicts == [False, False, False, True, True]
+
+
+@pytest.mark.parametrize("n", [8, 15])
+def test_int64_child_keys_step_by_the_edge_delta(n):
+    # 15 vertices is the largest int64 radix; overflow in the delta would
+    # show as a key that differs from the swapped row's
+    rng = np.random.default_rng(n)
+    rows = np.array([rng.permutation(n) for _ in range(40)]
+                    + [np.arange(n)[::-1], np.arange(n)], dtype=np.uint8)
+    P = rng.random((n, n)) < 0.5
+    P = P | P.T
+    I, J = np.array([(a, b) for a in range(n) for b in range(a + 1, n)]).T
+    expected = []
+    for row in rows:
+        for a, b in zip(I, J):
+            if P[row[a], row[b]]:
+                kid = row.copy()
+                kid[[a, b]] = kid[[b, a]]
+                expected.append(kid)
+    keys = _p._keys(rows)
+    got = _p._int64_children(keys, _p._rows(keys, n), P, I, J)
+    assert len(expected) > 500
+    assert got.tolist() == _p._keys(np.array(expected)).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_and_ranked_engines_agree_to_six_vertices(n):
+    # every connected board, against itself, a star and a clique; one cap
+    # boundary per n, on the instance with the largest component
+    cap = _p.DEFAULT_CAP
+    widest = None
+    for board in connected_graphs(n):
+        pebble_graphs = [board, complete(n)] + ([star(n - 1)] if n > 1 else [])
+        for pz in (Puz(board, pebbles) for pebbles in pebble_graphs):
+            start = identity_configuration(pz)
+            ranked = _p._ranked_search(pz, start, cap)
+            packed = _p._np_search(pz, start, cap)
+            reach = _p._ranked_unpack(pz, ranked[0])
+            assert _p._np_unpack(pz, packed[0]) == reach, pz
+            assert packed[1] == ranked[1] == len(reach), pz
+            if widest is None or len(reach) > widest[1]:
+                widest = (pz, len(reach))
+    pz, count = widest
+    start = identity_configuration(pz)
+    for search in (_p._ranked_search, _p._np_search):
+        if count > 1:  # the start alone is never checked against the cap
+            with pytest.raises(CapExceededError) as exc:
+                search(pz, start, count - 1)
+            assert str(exc.value) == (
+                f"visited {count} configurations, cap is {count - 1}"
+            )
+        assert search(pz, start, count)[1] == count
