@@ -276,11 +276,11 @@ def _rows(keys, n):
     return keys[:, None] // _radix(n) % n
 
 
-def _int64_children(keys, rows, P, I, J):
-    """Int64 keys of the legal children of ``rows`` (packed as ``keys``),
-    row by row, then edge (I[e], J[e]) by edge: swapping digits d_a and d_b
-    at positions a and b adds (d_b - d_a) * (radix[a] - radix[b])."""
-    radix = _radix(rows.shape[1])
+def _int64_children(keys, P, I, J):
+    """Int64 keys of the legal children of ``keys``, key by key then edge by
+    edge: a swap at (a, b) adds (d_b - d_a) * (radix[a] - radix[b])."""
+    radix = _radix(len(P))
+    rows = _rows(keys, len(P))
     FI, FJ = rows[:, I], rows[:, J]
     return (keys[:, None] + (FJ - FI) * (radix[I] - radix[J]))[P[FI, FJ]]
 
@@ -309,10 +309,10 @@ def _np_search(puz, start, cap, target=None):
     count = 1
     found = target is not None and keys[0] == keys[1]
     while not found:
-        frontier = _rows(levels[-1], n)
         if n <= _INT64_MAX_N:
-            kids = np.sort(_int64_children(levels[-1], frontier, P, I, J))
+            kids = np.sort(_int64_children(levels[-1], P, I, J))
         else:
+            frontier = _rows(levels[-1], n)
             rows = [frontier[:0]]
             for a, b in zip(I, J):
                 sub = frontier[P[frontier[:, a], frontier[:, b]]]

@@ -535,7 +535,7 @@ def test_int64_child_keys_step_by_the_edge_delta(n):
                 kid[[a, b]] = kid[[b, a]]
                 expected.append(kid)
     keys = _p._keys(rows)
-    got = _p._int64_children(keys, _p._rows(keys, n), P, I, J)
+    got = _p._int64_children(keys, P, I, J)
     assert len(expected) > 500
     assert got.tolist() == _p._keys(np.array(expected)).tolist()
 
