@@ -229,6 +229,60 @@ def test_flip_bfs_witnesses_are_pinned(desc):
     assert got == FLIP_BFS_WITNESSES[desc]
 
 
+
+# flip_bfs_witness for 10 targets drawn by random.Random(13) from the sorted
+# flip space, recorded before boards over 7 vertices left the tuple search
+SEEDED_FLIP_WITNESSES = {
+    "p8": [
+        ((4, 8, 5, 6, 7, 1, 2, 3), [(1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 5),
+                                    (2, 3, 4, 5), (3, 4, 5), (6, 7, 8)]),
+        ((5, 6, 8, 7, 1, 3, 4, 2), [(1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4),
+                                    (3, 4), (5, 6, 7, 8), (6, 7, 8), (6, 7)]),
+        ((3, 2, 1, 7, 5, 4, 6, 8), [(1, 2, 3), (4, 5, 6, 7), (5, 6, 7), (5, 6)]),
+        ((4, 3, 1, 2, 5, 6, 8, 7), [(1, 2, 3, 4), (3, 4), (7, 8)]),
+        ((2, 3, 7, 5, 6, 4, 8, 1), [(1, 2, 3, 4, 5, 6, 7, 8),
+                                    (1, 2, 3, 4, 5, 6, 7), (3, 4, 5, 6), (4, 5)]),
+        ((4, 1, 3, 2, 8, 5, 7, 6), [(1, 2, 3, 4), (2, 3, 4), (3, 4),
+                                    (5, 6, 7, 8), (6, 7, 8), (7, 8)]),
+        ((3, 2, 1, 8, 6, 5, 7, 4), [(1, 2, 3), (4, 5, 6, 7, 8), (5, 6, 7), (5, 6)]),
+        ((2, 1, 8, 4, 3, 5, 7, 6), [(1, 2), (3, 4, 5, 6, 7, 8), (4, 5, 6, 7, 8),
+                                    (4, 5), (7, 8)]),
+        ((1, 6, 8, 7, 5, 3, 2, 4), [(2, 3, 4, 5, 6, 7, 8), (2, 3, 4), (3, 4),
+                                    (6, 7, 8), (6, 7)]),
+        ((3, 6, 4, 5, 2, 7, 8, 1), [(1, 2, 3, 4, 5, 6, 7, 8),
+                                    (1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5),
+                                    (1, 2, 3, 4), (2, 3, 4), (3, 4)]),
+    ],
+    "c8": [
+        ((3, 2, 8, 7, 1, 6, 5, 4), [(1, 8, 7, 6, 5, 4, 3), (3, 4, 5), (3, 4)]),
+        ((3, 5, 4, 7, 8, 1, 2, 6), [(2, 1, 8, 7, 6, 5, 4), (1, 2, 3), (2, 3),
+                                    (4, 5, 6, 7)]),
+        ((7, 2, 5, 6, 3, 4, 8, 1), [(1, 8, 7), (3, 4, 5, 6), (3, 4), (5, 6),
+                                    (7, 8)]),
+        ((7, 2, 4, 5, 3, 6, 1, 8), [(1, 8, 7), (3, 4, 5), (3, 4)]),
+        ((8, 2, 3, 1, 6, 7, 4, 5), [(1, 8, 7, 6, 5, 4), (1, 8, 7, 6, 5),
+                                    (5, 6, 7, 8), (5, 6), (7, 8)]),
+        ((8, 6, 5, 2, 4, 3, 1, 7), [(1, 2, 3, 4, 5, 6, 7), (1, 8), (4, 5, 6),
+                                    (5, 6)]),
+        ((2, 6, 3, 5, 4, 7, 1, 8), [(2, 1, 8, 7, 6), (1, 8, 7, 6), (4, 5), (7, 8)]),
+        ((6, 8, 3, 1, 2, 7, 4, 5), [(2, 1, 8, 7, 6, 5, 4), (2, 1, 8, 7, 6),
+                                    (1, 8, 7, 6), (1, 8, 7), (4, 5)]),
+        ((3, 1, 7, 6, 5, 8, 2, 4), [(1, 8, 7, 6, 5, 4, 3), (2, 3, 4, 5, 6, 7),
+                                    (2, 3, 4, 5, 6), (3, 4, 5, 6), (3, 4, 5)]),
+        ((7, 1, 3, 4, 2, 6, 5, 8), [(2, 1, 8, 7, 6, 5), (2, 1, 8, 7, 6), (1, 8),
+                                    (6, 7)]),
+    ],
+}
+
+
+@pytest.mark.parametrize("desc", sorted(SEEDED_FLIP_WITNESSES))
+def test_seeded_flip_witnesses_are_pinned(desc):
+    g = graph_from_desc(desc)
+    targets = random.Random(13).sample(sorted(flip_reachable_set(g)), 10)
+    got = [(sigma, flip_bfs_witness(g, sigma)) for sigma in targets]
+    assert got == SEEDED_FLIP_WITNESSES[desc]
+
+
 def _flip_levels(g):
     """BFS levels of the flip space from the identity, by a reference
     search over every board path and apply_flip."""

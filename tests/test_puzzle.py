@@ -200,6 +200,45 @@ def test_bfs_witness_replays():
     assert bfs_witness(puz_on(cycle(4)), (1, 2, 3, 4), (2, 3, 4, 1)) is None
 
 
+
+# move lists of bfs_witness for 10 targets drawn by random.Random(13) from
+# each reachable set (all of them when fewer): their lengths and the sha256
+# of their repr, recorded before the witness search moved off tuples.  The
+# last two boards start from a seeded arrangement that is not the identity
+
+def _seeded_start(pz):
+    return tuple(random.Random(13).sample(identity_configuration(pz), pz.n))
+
+
+@pytest.mark.parametrize(
+    "pz, start, lengths, digest",
+    [(puz_on(hypercube(3)), identity_configuration, [5, 8, 8, 7, 3, 8, 5, 11, 7, 6],
+      "41a6f92dfb5d3c758e5b7342392370ae82fe5edd949d2a225f19021f115d6979"),
+     (Puz(hypercube(3), star(7)), identity_configuration,
+      [16, 15, 13, 14, 12, 10, 11, 12, 10, 14],
+      "03abb9b04db30b5c7d030a99a51831ffb000b4e712fb1bdd793b4e447235ebc8"),
+     (Puz(graph_from_desc("p9^2~8"), path(8)), identity_configuration,
+      [2, 3, 6, 3, 4, 4, 6, 1, 3, 4],
+      "ebec0508632bef511ffe91e24efee8def537431cf88b57069aff4da104463651"),
+     (puz_on(path(16)), identity_configuration, [4, 6, 4, 4, 2, 5, 4, 2, 3, 4],
+      "e3b246d5feeedad9973de6e74c99a1d7dd5c6119ace9ca3b4af94a814e546883"),
+     (Puz(path(4), star(3)), _seeded_start, [0, 1, 2, 1],
+      "e4d529dd9969cfeb172fd3715b76bedd1c4b279f5c815c033019f8f8297cde54"),
+     (Puz(cycle(7), star(6)), _seeded_start, [0, 11, 15, 2, 13, 5, 6, 12, 19, 3],
+      "620b33b8eb4df45794c3faefb7da00a9b480921e7b10f2bef7986307f07d220b")],
+    ids=["q3", "q3/star7", "p9^2~8/p8", "p16", "p4/star3", "c7/star6"],
+)
+def test_bfs_witnesses_are_pinned(pz, start, lengths, digest):
+    start = start(pz)
+    reach = sorted(reachable_set(pz, start))
+    targets = random.Random(13).sample(reach, min(10, len(reach)))
+    moves = [bfs_witness(pz, start, target) for target in targets]
+    assert [len(m) for m in moves] == lengths
+    assert hashlib.sha256(repr(moves).encode()).hexdigest() == digest
+    for target, m in zip(targets, moves):
+        assert replay(pz, start, m) == target
+
+
 def test_cap_enforcement():
     with pytest.raises(CapExceededError):
         reachable_set(puz_on(square(path(5))), cap=50)
