@@ -22,15 +22,11 @@ that do (each case states why, and the replay validators enforce it).
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 
-import numpy as np
-
 from .errors import (
     BoardPathError,
-    CapExceededError,
     PebblePathError,
     RealizationError,
 )
@@ -43,18 +39,7 @@ from .graphs import (
     shortest_path_to_set,
 )
 from .perms import compose, is_automorphism
-from .puzzle import (
-    _RANKED_MAX_N,
-    _edge_positions,
-    _moves_to,
-    _pebble_matrix,
-    _rank_tables,
-    _ranks,
-    _tuple_bfs,
-    check_configuration,
-    identity_configuration,
-    puz_on,
-)
+from .puzzle import _search, check_configuration, identity_configuration, puz_on
 
 DEFAULT_FLIP_CAP = 1_000_000
 
@@ -141,16 +126,8 @@ def compose_flip_sequences(g, s1, s2):
 
 # ---------------------------------------------------------------------------
 # exhaustive search (the oracle the constructive engine is tested against):
-# every canonical path is a move.  Boards up to puzzle._RANKED_MAX_N vertices
-# search over the permutation ranks of puzzle._rank_tables; larger ones run
-# puzzle._tuple_bfs, the search that also finds move witnesses
-
-# (frontier row, path) cells per block of a ranked level: one block holds
-# 256 KB per int32 array and 512 KB per index array.  A whole K7 search
-# (5,040 states, 6,846 paths) then peaks about 5 MB above where it started,
-# where one unblocked level would take 276 MB per int64 array; 2**20 cells
-# peaked 60 MB higher and ran no faster
-_FLIP_BLOCK_CELLS = 1 << 16
+# puzzle._search on the self-puzzle, with every canonical board path as a
+# move: the level loops and blocks of pebble swaps, parents only for witnesses
 
 
 def all_flip_paths(g):
@@ -184,158 +161,34 @@ def _check_arrangement(g, sigma):
     return sigma
 
 
-def _flip_bfs(g, target, cap):
+def _flip_bfs(g, target, cap, witness=False):
     """Search the flip space from the identity, up to the level on which
-    ``target`` appears or to its end when target is None.
-
-    Returns (states, moves_to): ``states()`` is the frozenset of visited
-    permutations and ``moves_to(sigma)`` the flips from the identity to
-    sigma at its first discovery, or None when the search did not reach it.
-    Both engines discover states in the same order, so they return the same
-    witnesses.
-    """
-    paths = all_flip_paths(g)
-    if g.n <= _RANKED_MAX_N:
-        return _ranked_flip_bfs(g, paths, target, cap)
-    return _tuple_flip_bfs(g, paths, target, cap)
-
-
-def _tuple_flip_bfs(g, paths, target, cap):
-    """The flip-space BFS by ``_tuple_bfs``, for boards over
-    ``_RANKED_MAX_N`` vertices."""
-    adj = g.adj
-    moves = []
-    for path in paths:
-        idxs = [g.index_of(v) for v in path]
-        moves.append((idxs[0], idxs[1:], list(zip(idxs, reversed(idxs))), path))
-
-    def children(f):
-        for head, tail, swaps, path in moves:
-            # most paths fail on an early pebble pair, so stop at the first
-            a = f[head]
-            for i in tail:
-                b = f[i]
-                if b not in adj[a]:
-                    break
-                a = b
-            else:
-                out = list(f)
-                for i, j in swaps:
-                    out[i] = f[j]
-                yield tuple(out), path
-
-    parent = _tuple_bfs(tuple(g.vertices), children, cap, target)
-    return functools.partial(frozenset, parent), functools.partial(_moves_to, parent)
-
-
-def _ranked_flip_bfs(g, paths, target, cap):
-    """The flip-space BFS over the ranks of ``_rank_tables(g.n)``.
-
-    Path c reverses the pebbles on its board positions, which is at most
-    n // 2 disjoint position swaps, so a child's rank is at most three
-    lookups in the shared swap table, padded here with an identity column.
-    Path c is legal when no board edge it uses carries a non-adjacent
-    pebble pair, a test of two bit masks over the board edges.  Children
-    are taken in (frontier row, path) order, the order in which
-    ``_tuple_bfs`` meets them, and each new rank keeps its first discovery,
-    with its parent rank and path index.  Nothing here calls BLAS, whose
-    worker threads would keep spinning on a second core after each call.
-    """
-    n = g.n
-    tables = _rank_tables(n)
+    ``target`` appears or to its end when target is None.  ``states()`` is
+    the frozenset of visited permutations, and with ``witness``,
+    ``moves_to(sigma)`` the flips from the identity to sigma at its first
+    discovery, or None when the search did not reach it."""
     puz = puz_on(g)
-    edges = _edge_positions(puz)
-    I, J = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    edge_bit = {}
-    for e, (i, j) in enumerate(edges):
-        edge_bit[i, j] = edge_bit[j, i] = 1 << e  # at most 21 edges
-    uses = np.zeros(len(paths), dtype=np.int32)  # board edges of each path
-    swaps = np.full((n // 2, len(paths)), tables.swap.shape[1], dtype=np.intp)
-    for c, path in enumerate(paths):
-        idxs = [g.index_of(v) for v in path]
-        uses[c] = sum(edge_bit[step] for step in zip(idxs, idxs[1:]))
-        for k in range(len(idxs) // 2):
-            swaps[k, c] = tables.pair[idxs[k], idxs[-1 - k]]
-    swap = np.concatenate(
-        [tables.swap, np.arange(len(tables.swap), dtype=np.int32)[:, None]], axis=1
-    )
-    bits = np.int32(1) << np.arange(len(edges), dtype=np.int32)
-    nonadjacent = ~_pebble_matrix(puz)
-    block = max(1, _FLIP_BLOCK_CELLS // max(len(paths), 1))
-
-    seen = np.zeros(len(tables.perms), dtype=bool)
-    parent = np.full(len(seen), -1, dtype=np.int32)
-    via = np.full(len(seen), -1, dtype=np.int32)
-    seen[0] = True  # the identity row is the first in lexicographic order
-    frontier = np.zeros(1, dtype=np.int32)
-    count = 1
-    goal = None if target is None else _rank_of(g, tables, target)
-    while frontier.size and not (goal is not None and seen[goal]):
-        level = []
-        for lo in range(0, frontier.size, block):
-            ranks = frontier[lo: lo + block]
-            rows = tables.perms[ranks]
-            bad = nonadjacent[rows[:, I], rows[:, J]] @ bits
-            legal = np.flatnonzero((bad[:, None] & uses) == 0)
-            row, col = np.divmod(legal, len(paths))
-            kids = ranks[row]
-            for k in range(len(swaps)):
-                kids = swap[kids, swaps[k, col]]
-            fresh = np.flatnonzero(~seen[kids])
-            first = np.unique(kids[fresh], return_index=True)[1]
-            cell = fresh[np.sort(first)]
-            kids = kids[cell]
-            seen[kids] = True
-            parent[kids] = ranks[row[cell]]
-            via[kids] = col[cell]
-            level.append(kids)
-        frontier = np.concatenate(level)
-        count += frontier.size
-        if count > cap:
-            raise CapExceededError(
-                f"visited {count} configurations, cap is {cap}"
-            )
-
-    labels = np.array(g.vertices, dtype=np.int64)
-
-    def states():
-        return frozenset(map(tuple, labels[tables.perms[seen]].tolist()))
-
-    def moves_to(sigma):
-        r = _rank_of(g, tables, sigma)
-        if not seen[r]:
-            return None
-        moves = []
-        while r:
-            moves.append(paths[via[r]])
-            r = parent[r]
-        moves.reverse()
-        return moves
-
-    return states, moves_to
-
-
-def _rank_of(g, tables, sigma):
-    return _ranks(tables, [[g.index_of(v) for v in sigma]])[0]
+    return _search(puz, identity_configuration(puz), cap, target, witness,
+                   all_flip_paths(g))
 
 
 def flip_reachable_set(g, cap=DEFAULT_FLIP_CAP):
     """All permutations reachable from the identity by flips."""
-    return _flip_bfs(g, None, cap)[0]()
+    return _flip_bfs(g, None, cap).states()
 
 
 def flip_bfs_oracle(g, sigma, cap=DEFAULT_FLIP_CAP):
     """Breadth-first truth: is sigma reachable from the identity by flips?
     Raises ValueError when sigma is not an arrangement of g's vertices."""
     sigma = _check_arrangement(g, sigma)
-    return _flip_bfs(g, sigma, cap)[1](sigma) is not None
+    return _flip_bfs(g, sigma, cap).found
 
 
 def flip_bfs_witness(g, sigma, cap=DEFAULT_FLIP_CAP):
     """A shortest flip list realizing sigma, or None; replay-verified.
     Raises ValueError when sigma is not an arrangement of g's vertices."""
     sigma = _check_arrangement(g, sigma)
-    flips = _flip_bfs(g, sigma, cap)[1](sigma)
+    flips = _flip_bfs(g, sigma, cap, witness=True).moves_to(sigma)
     if flips is not None and flip_sequence_permutation(g, flips) != sigma:
         raise RealizationError("witness reconstruction failed to replay")
     return flips

@@ -8,24 +8,31 @@ board vertices; it is legal when they are adjacent on the board AND the two
 pebbles sitting there are adjacent in the pebble graph, and it swaps those
 pebbles.
 
-Reachability is plain breadth-first search over configurations, by one of
-two engines chosen from the number of vertices n in ``_engine``:
+Every search is breadth-first over configurations, with one move model: a
+move is a board path, legal when each pebble pair along it is adjacent in
+the pebble graph, and it reverses the pebbles on it.  A pebble swap is the
+two-vertex path on a board edge; the flip oracle in ``flips`` passes every
+board path.  ``_search`` runs one of two level loops, chosen from the number
+of vertices n in ``_engine``:
 
 * n <= 7: states are lexicographic ranks of permutations.  A table of all
   n! permutations and a table of the rank each one moves to under every
-  position swap are built once per n and shared by every instance; each
-  BFS level reads its children from the swap table and marks them in an
-  n!-entry visited array.
+  position swap are built once per n and shared by every instance.  A path
+  reversal is at most n // 2 disjoint swaps, so a child's rank is that many
+  swap-table lookups, and each level is marked in an n!-entry array.
 * n > 7: each configuration packs into one sortable key, an int64 under
   radix n up to 15 vertices and an n-byte string beyond.  A move undoes
   itself, so a child of level L lies on level L - 1, L or L + 1, and each
   new level is deduplicated against the sorted keys of the two levels
-  before it only.  An int64 child key is its parent's key plus a per-edge
-  delta, and each frontier is decoded from its level's keys, in key order.
+  before it only.  An int64 child key is its parent's key plus one delta
+  per swap of its move.
 
-Move witnesses come from a third, parent-recording search over tuples,
-``_tuple_bfs``.  The flip oracle in ``flips`` reads the rank tables for
-boards up to 7 vertices and runs ``_tuple_bfs`` only on larger ones.
+Both loops answer every query, and test each board edge once per state
+before each move ANDs the edges it steps on.  Only a witness query records
+parents, an int32 parent and a move index per state: it takes children in
+(frontier row, move) order and keeps each frontier in discovery order, so
+its move lists are those of a plain first-discovery BFS.  Every other query
+keeps no parents, and its frontiers run in rank or key order.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -155,7 +162,15 @@ def replay(puz, start, moves):
 
 
 # ---------------------------------------------------------------------------
-# breadth-first search cores
+# breadth-first search: one move model, two level loops
+
+# (frontier row, move) cells per block of a level: one block holds 256 KB
+# per int32 array and 512 KB per index array.  The whole flip space of K7
+# (5,040 states, 6,846 paths) then peaks about 5 MB above where it started,
+# where one unblocked level would take 276 MB per int64 array; 2**20 cells
+# peaked 60 MB higher and ran no faster
+_BLOCK_CELLS = 1 << 16
+
 
 def _edge_positions(puz):
     b = puz.board
@@ -176,11 +191,90 @@ def _radix(n):
     return n ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
+class _Moves(NamedTuple):
+    """M board paths over positions, as arrays.  Path c is legal when the
+    pebbles on each of its steps are adjacent, and it reverses them, which
+    is at most n // 2 disjoint position swaps."""
+
+    I: np.ndarray  # (E,) and J: the board edges as position pairs
+    J: np.ndarray
+    steps: np.ndarray  # (L, M): the board edge of each step, the last repeated;
+    # None for pebble swaps, where move c is board edge c
+    A: np.ndarray  # (S, M) and B: the swaps (A[k, c], B[k, c]), then (0, 0)
+    B: np.ndarray
+
+
+def _moves(edges, paths=None):
+    """The ``_Moves`` of position paths on a board with position edges; no
+    paths means each edge's two-vertex path, a pebble swap."""
+    I, J = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    if paths is None:
+        return _Moves(I, J, None, I[None], J[None])
+    edge = {}
+    for e, (i, j) in enumerate(edges):
+        edge[i, j] = edge[j, i] = e
+    L = max(map(len, paths), default=2) - 1
+    S = (L + 1) // 2
+    table = []
+    for p in paths:
+        e = [edge[step] for step in zip(p, p[1:])]
+        h = len(p) // 2
+        pad = [0] * (S - h)
+        table += e, e[-1:] * (L - len(e)), p[:h], pad, p[: -h - 1: -1], pad
+    table = np.fromiter(itertools.chain.from_iterable(table), dtype=np.intp)
+    table = table.reshape(-1, L + 2 * S).T
+    return _Moves(I, J, table[:L], table[L: L + S], table[L + S:])
+
+
+def _legal(rows, P, moves):
+    """(row, move) mask of the legal moves from rows of pebble indexes: each
+    board edge is tested once, by the pebble pair code i * n + j, then each
+    move ANDs the edges it steps on."""
+    n = len(P)
+    if n > 16:  # the codes of uint8 rows would wrap
+        rows = rows.astype(np.intp)
+    ok = P.ravel().take(rows[:, moves.I] * n + rows[:, moves.J])
+    if moves.steps is None:
+        return ok
+    ok = np.ascontiguousarray(ok.T)  # a step then gathers whole rows
+    legal = ok[moves.steps[0]]
+    for step in moves.steps[1:]:
+        legal &= ok[step]
+    return legal.T
+
+
+def _cells(legal):
+    """(row, move) of the True cells of a (row, move) mask, row by row:
+    one flat nonzero, a fraction of the cost of a two-axis one."""
+    flat = np.flatnonzero(legal)
+    row = flat // legal.shape[1]
+    return row, flat - row * legal.shape[1]
+
+
+def _check_cap(count, cap):
+    if count > cap:
+        raise CapExceededError(f"visited {count} configurations, cap is {cap}")
+
+
+def _run_starts(s):
+    """Mask of the first entry of each run of equal values in s."""
+    first = np.ones(s.size, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return first
+
+
+def _first_occurrences(keys):
+    """Ascending indexes of the first occurrence of each distinct key."""
+    order = np.argsort(keys, kind="stable")
+    return np.sort(order[_run_starts(keys[order])])
+
+
 class _RankTables(NamedTuple):
     perms: np.ndarray  # (n!, n) uint8: every permutation of range(n), lexicographic
     keys: np.ndarray  # (n!,) int64: each row packed under radix n, ascending
-    swap: np.ndarray  # (n!, C(n,2)) int32: rank of the row with two positions swapped
-    pair: np.ndarray  # (n, n): the swap column of positions i != j
+    swap: np.ndarray  # (n!, C(n,2) + 1) int32: rank of the row with two
+    # positions swapped; the last column is the rank itself
+    pair: np.ndarray  # (n, n): the swap column of positions i, j (the last if i == j)
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,14 +288,15 @@ def _rank_tables(n):
     keys = perms @ radix
     i, j = np.triu_indices(n, 1)
     cols = np.arange(i.size)
-    pair = np.zeros((n, n), dtype=np.intp)
+    pair = np.full((n, n), i.size, dtype=np.intp)
     pair[i, j] = pair[j, i] = cols
-    swap = np.empty((len(perms), i.size), dtype=np.int32)
+    swap = np.empty((len(perms), i.size + 1), dtype=np.int32)
     for col, a, b in zip(cols, i, j):
         # swapping positions a and b moves digit d_b to a and d_a to b;
         # the lexicographic list is sorted by key, so a key's index is its rank
         delta = (perms[:, b].astype(np.int64) - perms[:, a]) * (radix[a] - radix[b])
         swap[:, col] = keys.searchsorted(keys + delta)
+    swap[:, -1] = np.arange(len(perms))
     tables = _RankTables(perms, keys, swap, pair)
     for table in tables:  # shared by every caller in the process
         table.flags.writeable = False
@@ -214,49 +309,71 @@ def _ranks(tables, rows):
     return tables.keys.searchsorted(rows @ _radix(rows.shape[-1]))
 
 
-def _ranked_search(puz, start, cap, target=None):
-    """BFS over permutation ranks, for n <= _RANKED_MAX_N.
+def _ranked_levels(puz, moves, ends, cap, witness):
+    """The level loop over permutation ranks, for n <= _RANKED_MAX_N.
 
-    Returns (seen, count, found): ``seen`` marks the visited ranks of
-    ``_rank_tables(n)``, whose rows hold pebble indexes, and
-    ``_ranked_unpack`` reads it back.
+    A child's rank is one swap-table lookup per swap of its move, the
+    padding (0, 0) swaps reading the identity column.  Without a
+    witness, each level is marked in an n!-entry array and read back in rank
+    order.  With one, children are taken in (frontier row, move) order, each
+    new rank keeps its first discovery with its parent rank and move index,
+    and the frontier stays in discovery order.
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
-    I, J = np.array(_edge_positions(puz), dtype=np.intp).reshape(-1, 2).T
-    K = tables.pair[I, J]
-    ends = (start, start if target is None else target)
-    start_rank, goal = _ranks(
-        tables, [[puz.pebbles.index_of(p) for p in f] for f in ends]
-    )
+    cols = tables.pair[moves.A, moves.B]
+    start, *goal = _ranks(tables, ends)
     seen = np.zeros(len(tables.perms), dtype=bool)
-    seen[start_rank] = True
-    frontier = np.array([start_rank])
+    seen[start] = True
+    parent, via = np.full((2, len(seen) if witness else 0), -1, dtype=np.int32)
+    frontier = np.array([start])
     count = 1
-    found = target is not None and goal == start_rank
-    while not found:
-        rows = tables.perms[frontier]
-        kids = tables.swap[frontier[:, None], K][P[rows[:, I], rows[:, J]]]
-        fresh = np.zeros_like(seen)
-        fresh[kids] = True
-        fresh[seen] = False
-        frontier = np.flatnonzero(fresh)
-        if not frontier.size:
+    block = max(1, _BLOCK_CELLS // max(moves.A.shape[1], 1))
+    while True:
+        _check_cap(count, cap)
+        if not frontier.size or (goal and seen[goal[0]]):
             break
-        seen[frontier] = True
+        fresh = np.zeros(seen.size, dtype=bool)
+        level = []
+        for lo in range(0, frontier.size, block):
+            ranks = frontier[lo: lo + block]
+            legal = _legal(tables.perms.take(ranks, axis=0), P, moves)
+            # each move's first swap over the whole block, the others only
+            # where the move is legal
+            kids = tables.swap.take(ranks, axis=0).take(cols[0], axis=1)[legal]
+            if witness or len(cols) > 1:
+                row, move = _cells(legal)
+            for col in cols[1:]:
+                kids = tables.swap[kids, col[move]]
+            if witness:
+                cell = np.flatnonzero(~seen[kids])
+                cell = cell[_first_occurrences(kids[cell])]
+                kids = kids[cell]
+                seen[kids] = True
+                parent[kids] = ranks[row[cell]]
+                via[kids] = move[cell]
+                level.append(kids)
+            else:
+                fresh[kids] = True
+        if witness:
+            frontier = np.concatenate(level)
+        else:
+            fresh[seen] = False
+            frontier = np.flatnonzero(fresh)
+            seen[frontier] = True
         count += frontier.size
-        if count > cap:
-            raise CapExceededError(
-                f"visited {count} configurations, cap is {cap}"
-            )
-        found = target is not None and seen[goal]
-    return seen, count, bool(found)
 
+    def trail(row):
+        r = _ranks(tables, [row])[0]
+        if not seen[r]:
+            return None
+        out = []
+        while parent[r] >= 0:
+            out.append(via[r])
+            r = parent[r]
+        return out[::-1]
 
-def _ranked_unpack(puz, seen):
-    labels = np.array(puz.pebbles.vertices, dtype=np.int64)
-    rows = _rank_tables(puz.n).perms[seen]
-    return frozenset(map(tuple, labels[rows].tolist()))
+    return count, bool(goal) and bool(seen[goal[0]]), lambda: tables.perms[seen], trail
 
 
 def _keys(rows):
@@ -273,83 +390,155 @@ def _rows(keys, n):
     digit from int64 keys, a view of byte keys."""
     if keys.dtype.kind == "V":
         return keys.view(np.uint8).reshape(-1, n)
-    return keys[:, None] // _radix(n) % n
+    return (keys[:, None] // _radix(n) % n).astype(np.uint8)
 
 
-def _int64_children(keys, P, I, J):
-    """Int64 keys of the legal children of ``keys``, key by key then edge by
-    edge: a swap at (a, b) adds (d_b - d_a) * (radix[a] - radix[b])."""
-    radix = _radix(len(P))
-    rows = _rows(keys, len(P))
-    FI, FJ = rows[:, I], rows[:, J]
-    return (keys[:, None] + (FJ - FI) * (radix[I] - radix[J]))[P[FI, FJ]]
+def _children(keys, rows, moves, legal):
+    """Keys of the legal children of ``keys``, key by key then move by move.
+    An int64 key steps by the sum of its move's swap deltas: a swap at
+    (a, b) adds (d_b - d_a) * (radix[a] - radix[b]), d_b - d_a read off the
+    pebble pair code d_a * n + d_b.  A byte key's child row is a copy of
+    its parent's with the move's swaps made."""
+    n = rows.shape[1]
+    if keys.dtype.kind == "V":
+        row, move = _cells(legal)
+        kids = rows.take(row, axis=0)
+        flat = kids.ravel()
+        at = np.arange(0, flat.size, n)  # each child's first byte
+        for a, b in zip(moves.A, moves.B):
+            i, j = at + a.take(move), at + b.take(move)
+            flat[i], flat[j] = flat[j], flat[i]
+        return _keys(kids)
+    radix = _radix(n)
+    diff = np.arange(n * n) % n - np.arange(n * n) // n
+    kids = keys[:, None]
+    for a, b in zip(moves.A, moves.B):
+        kids = kids + diff.take(rows[:, a] * n + rows[:, b]) * (radix[a] - radix[b])
+    return kids[legal]
 
 
-def _np_search(puz, start, cap, target=None):
-    """Vectorized BFS over packed keys, for n > _RANKED_MAX_N.
+def _distinct(keys):
+    # stable: half the default sort's time on byte keys of p16^2
+    keys = np.sort(keys, kind="stable" if keys.dtype.kind == "V" else None)
+    return keys[_run_starts(keys)]
+
+
+def _absent(keys, near):
+    """Mask of the keys found in none of the sorted arrays ``near``."""
+    keep = np.ones(keys.size, dtype=bool)
+    for level in filter(len, near):
+        pos = np.minimum(level.searchsorted(keys), level.size - 1)
+        keep &= level[pos] != keys
+    return keep
+
+
+def _packed_levels(puz, moves, ends, cap, witness):
+    """The level loop over packed keys, for n > _RANKED_MAX_N.
 
     A move undoes itself (the pebble matrix is symmetric), so the children
     of level L are checked against the sorted keys of levels L - 1 and L
-    only.  Int64 children come from their parents' keys by a per-edge delta
-    (``_int64_children``); byte keys swap columns of copied rows.  Each
-    frontier is decoded from its level's keys, so it runs in key order, not
-    discovery order: counts, sets and cap messages do not depend on it, but
-    a witness-recording search would have to restore discovery order.
-
-    Returns (visited, count, found): ``visited`` holds the visited keys
-    level by level, and ``_np_unpack`` reads it back.
+    only.  Without a witness, each frontier is its level's sorted keys.
+    With one, children are taken in (frontier row, move) order, each new key
+    keeps its first discovery with its parent's index in the frontier and
+    its move index, and the frontier stays in discovery order.
     """
     n = puz.n
     P = _pebble_matrix(puz)
-    I, J = np.array(_edge_positions(puz), dtype=np.intp).reshape(-1, 2).T
-    ends = (start, target or start)
-    keys = _keys(np.array([[puz.pebbles.index_of(p) for p in f] for f in ends],
-                          dtype=np.uint8))
-    levels = [keys[:1]]
+    start, *goal = _keys(np.array(ends, dtype=np.uint8))
+    levels = [np.array([start])]  # each level's keys, sorted
+    frontier = levels[0]
+    visits = [(frontier, None, None)]  # with a witness: keys, parent, move
     count = 1
-    found = target is not None and keys[0] == keys[1]
-    while not found:
-        if n <= _INT64_MAX_N:
-            kids = np.sort(_int64_children(levels[-1], P, I, J))
+    block = max(1, _BLOCK_CELLS // max(moves.A.shape[1], 1))
+    while True:
+        _check_cap(count, cap)
+        found = bool(goal) and not _absent(np.array(goal), levels[-1:])[0]
+        if found or not frontier.size:
+            break
+        parts = []
+        for lo in range(0, frontier.size, block):
+            keys = frontier[lo: lo + block]
+            rows = _rows(keys, n)
+            legal = _legal(rows, P, moves)
+            kids = _children(keys, rows, moves, legal)
+            if witness:
+                cell = _first_occurrences(kids)
+                cell = cell[_absent(kids[cell], levels[-2:])]
+                row, move = _cells(legal)
+                parts.append((kids[cell], row[cell] + lo, move[cell]))
+            else:
+                kids = _distinct(kids)
+                parts.append(kids[_absent(kids, levels[-2:])])
+        # a key new to two blocks of a level is kept once, at its first
+        if witness:
+            kids, row, move = map(np.concatenate, zip(*parts))
+            cell = _first_occurrences(kids) if len(parts) > 1 else slice(None)
+            frontier = kids[cell]
+            visits.append((frontier, row[cell], move[cell]))
+            levels.append(np.sort(frontier))
         else:
-            frontier = _rows(levels[-1], n)
-            rows = [frontier[:0]]
-            for a, b in zip(I, J):
-                sub = frontier[P[frontier[:, a], frontier[:, b]]]
-                sub[:, [a, b]] = sub[:, [b, a]]
-                rows.append(sub)
-            # stable: half the default sort's time on p16^2 with p16 pebbles
-            kids = np.sort(_keys(np.concatenate(rows)), kind="stable")
-        if not kids.size:
-            break
-        kids = kids[np.r_[True, kids[1:] != kids[:-1]]]
-        for near in levels[-2:]:
-            pos = np.minimum(near.searchsorted(kids), near.size - 1)
-            kids = kids[near[pos] != kids]
-        if not kids.size:
-            break
-        levels.append(kids)
-        count += kids.size
-        if count > cap:
-            raise CapExceededError(
-                f"visited {count} configurations, cap is {cap}"
-            )
-        if target is not None:
-            t = kids.searchsorted(keys[1])
-            found = t < kids.size and kids[t] == keys[1]
-    return np.concatenate(levels), count, bool(found)
+            frontier = _distinct(np.concatenate(parts)) if len(parts) > 1 else parts[0]
+            levels.append(frontier)
+        count += frontier.size
 
+    def trail(row):
+        key = _keys(np.array([row], dtype=np.uint8))[0]
+        for depth, (keys, _, _) in enumerate(visits):
+            hit = np.flatnonzero(keys == key)
+            if hit.size:
+                break
+        else:
+            return None
+        out, i = [], hit[0]
+        for _, parent, move in visits[depth:0:-1]:
+            out.append(move[i])
+            i = parent[i]
+        return out[::-1]
 
-def _np_unpack(puz, visited):
-    labels = np.array(puz.pebbles.vertices, dtype=np.int64)
-    return frozenset(map(tuple, labels[_rows(visited, puz.n)].tolist()))
+    return count, found, lambda: _rows(np.concatenate(levels), n), trail
 
 
 def _engine(n):
-    """The (search, unpack) pair that serves n-vertex puzzles."""
-    if n <= _RANKED_MAX_N:
-        return _ranked_search, _ranked_unpack
-    return _np_search, _np_unpack
+    """The level loop that serves n-vertex puzzles."""
+    return _ranked_levels if n <= _RANKED_MAX_N else _packed_levels
+
+
+class _Search(NamedTuple):
+    count: int  # configurations visited
+    found: bool  # the target was reached
+    states: Callable[[], frozenset]  # the visited configurations
+    moves_to: Callable  # config -> its paths from the start, or None
+
+
+def _search(puz, start, cap, target=None, witness=False, paths=None):
+    """Breadth-first search from ``start`` in which each board path of
+    ``paths`` is a move: it is legal when every pebble pair along it is
+    adjacent in the pebble graph, and it reverses the pebbles on it.  No
+    paths means the board edges, in ``_edge_positions`` order: pebble swaps.
+
+    The search ends after the level on which ``target`` first appears, or
+    when no level is left.  The cap is checked after every level, the start
+    being the first: more than ``cap`` configurations visited raises
+    CapExceededError.  Only with ``witness`` are parents recorded; then
+    ``moves_to(config)`` gives the paths that first reached config.
+    """
+    index = puz.pebbles.index_of
+    board = puz.board.index_of
+    ends = [[index(p) for p in f] for f in (start, target) if f is not None]
+    moves = _moves(_edge_positions(puz), None if paths is None else
+                   [[board(v) for v in p] for p in paths])
+    count, found, rows, trail = _engine(puz.n)(puz, moves, ends, cap, witness)
+
+    def states():
+        labels = np.array(puz.pebbles.vertices, dtype=np.int64)
+        return frozenset(map(tuple, labels[rows()].tolist()))
+
+    def moves_to(config):
+        got = trail([index(p) for p in config])
+        names = puz.board.edges() if paths is None else paths
+        return None if got is None else [names[m] for m in got]
+
+    return _Search(count, found, states, moves_to)
 
 
 def reachable_set(puz, start=None, cap=DEFAULT_CAP):
@@ -357,8 +546,7 @@ def reachable_set(puz, start=None, cap=DEFAULT_CAP):
     start = check_configuration(
         puz, identity_configuration(puz) if start is None else start
     )
-    search, unpack = _engine(puz.n)
-    return unpack(puz, search(puz, start, cap)[0])
+    return _search(puz, start, cap).states()
 
 
 def reachable_count(puz, start=None, cap=DEFAULT_CAP):
@@ -366,8 +554,7 @@ def reachable_count(puz, start=None, cap=DEFAULT_CAP):
     start = check_configuration(
         puz, identity_configuration(puz) if start is None else start
     )
-    search, _ = _engine(puz.n)
-    return search(puz, start, cap)[1]
+    return _search(puz, start, cap).count
 
 
 def equivalent(puz, f1, f2, cap=DEFAULT_CAP):
@@ -376,8 +563,7 @@ def equivalent(puz, f1, f2, cap=DEFAULT_CAP):
     f2 = check_configuration(puz, f2)
     if f1 == f2:
         return True
-    search, _ = _engine(puz.n)
-    return search(puz, f1, cap, target=f2)[2]
+    return _search(puz, f1, cap, target=f2).found
 
 
 def is_feasible(puz, cap=DEFAULT_CAP):
@@ -395,45 +581,6 @@ def is_feasible(puz, cap=DEFAULT_CAP):
     return reachable_count(puz, cap=cap) == total
 
 
-def _tuple_bfs(start, children, cap, target=None):
-    """Parent-recording BFS over hashable states.
-
-    ``children(state)`` yields (child, move) pairs.  Returns a dict mapping
-    each visited state to (parent, move), or None for ``start``; it is the
-    visited set too.  Parents are kept at first discovery.  With a target,
-    the search finishes the level on which the target appears and checks
-    the cap before it stops, as the vectorized engines do.
-    """
-    parent = {start: None}
-    frontier = [start]
-    while frontier and target not in parent:
-        nxt = []
-        for f in frontier:
-            for t, move in children(f):
-                if t not in parent:
-                    parent[t] = (f, move)
-                    nxt.append(t)
-        if len(parent) > cap:
-            raise CapExceededError(
-                f"visited {len(parent)} configurations, cap is {cap}"
-            )
-        frontier = nxt
-    return parent
-
-
-def _moves_to(parent, state):
-    """The moves from the start of a ``_tuple_bfs`` to ``state``, or None
-    when the search did not reach it."""
-    if state not in parent:
-        return None
-    moves = []
-    while parent[state] is not None:
-        state, move = parent[state]
-        moves.append(move)
-    moves.reverse()
-    return moves
-
-
 def bfs_witness(puz, start, target, cap=DEFAULT_CAP):
     """A shortest move list turning start into target, or None.
 
@@ -442,18 +589,8 @@ def bfs_witness(puz, start, target, cap=DEFAULT_CAP):
     """
     start = check_configuration(puz, start)
     target = check_configuration(puz, target)
-    board_vs = puz.board.vertices
-    swaps = [(i, j, (board_vs[i], board_vs[j])) for i, j in _edge_positions(puz)]
-    pebbles = puz.pebbles
-
-    def children(f):
-        for i, j, move in swaps:
-            if pebbles.has_edge(f[i], f[j]):
-                g = list(f)
-                g[i], g[j] = g[j], g[i]
-                yield tuple(g), move
-
-    return _moves_to(_tuple_bfs(start, children, cap, target), target)
+    found = _search(puz, start, cap, target, witness=True)
+    return found.moves_to(target)
 
 
 # ---------------------------------------------------------------------------

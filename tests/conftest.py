@@ -1,7 +1,10 @@
+import contextlib
 import importlib.util
 import pathlib
 
 import pytest
+
+from pebblex import puzzle
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +18,17 @@ def oracle():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """A context in which every board, whatever its size, goes to the
+    packed level loop of the puzzle search."""
+
+    @contextlib.contextmanager
+    def force():
+        with monkeypatch.context() as m:
+            m.setattr(puzzle, "_RANKED_MAX_N", 0)
+            yield
+
+    return force

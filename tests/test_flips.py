@@ -1,5 +1,6 @@
 """Flip moves, the flip BFS oracle, and the constructive realizer."""
 
+import contextlib
 import math
 import random
 
@@ -27,7 +28,7 @@ from pebblex import (
     realize_by_flips,
     replay_flips,
 )
-from pebblex import flips
+from pebblex import flips, puzzle
 from pebblex.catalog import connected_graphs
 from pebblex.flips import _dict_power, _select_dict
 from pebblex.graphs import distances_from
@@ -332,8 +333,15 @@ def test_flip_cap_boundary(desc):
 def _witnesses(g, cap=10**6):
     """Every flip-reachable permutation of g with its witness, from one
     search."""
-    states, moves_to = flips._flip_bfs(g, None, cap)
-    return {sigma: moves_to(sigma) for sigma in states()}
+    found = flips._flip_bfs(g, None, cap, witness=True)
+    return {sigma: found.moves_to(sigma) for sigma in found.states()}
+
+
+def _swap_witnesses(pz, start):
+    """Every configuration reachable from start by pebble swaps, with the
+    move list bfs_witness gives for it, from one search."""
+    found = puzzle._search(pz, start, 10**6, witness=True)
+    return {f: found.moves_to(f) for f in found.states()}
 
 
 # every connected board up to 5 vertices and a seeded sample of six-vertex
@@ -356,26 +364,34 @@ def test_ranked_flip_levels_match_the_reference(g):
 
 
 @pytest.mark.parametrize("desc", ["c5", "q2", "star3", "grid2x3"])
-def test_ranked_and_tuple_flip_engines_agree(monkeypatch, desc):
+def test_ranked_and_packed_loops_agree(packed, desc):
+    # every flip witness, and every pebble-swap witness from a seeded start
+    # that is not the identity
     g = graph_from_desc(desc)
-    ranked = _witnesses(g)
-    monkeypatch.setattr(flips, "_RANKED_MAX_N", 0)
-    assert _witnesses(g) == ranked
+    pz = puz_on(g)
+    start = tuple(random.Random(desc).sample(g.vertices, g.n))
+    assert start != g.vertices
+    ranked = _witnesses(g), _swap_witnesses(pz, start)
+    with packed():
+        assert (_witnesses(g), _swap_witnesses(pz, start)) == ranked
 
 
 @pytest.mark.parametrize("cells", [1, 45])
-def test_flip_blocks_keep_the_order_of_discovery(monkeypatch, cells):
-    # C5 has 20 flip paths: blocks of one and of two frontier rows
+def test_flip_blocks_keep_the_order_of_discovery(monkeypatch, packed, cells):
+    # C5 has 20 flip paths: blocks of one and of two frontier rows, in the
+    # ranked loop and in the packed one
     g = cycle(5)
     whole = _witnesses(g)
-    monkeypatch.setattr(flips, "_FLIP_BLOCK_CELLS", cells)
-    assert _witnesses(g) == whole
-    assert flip_reachable_set(g) == set(whole)
-    for sigma, want in FLIP_BFS_WITNESSES["c5"].items():
-        assert flip_bfs_witness(g, sigma) == want
+    monkeypatch.setattr(puzzle, "_BLOCK_CELLS", cells)
+    for engine in (contextlib.nullcontext(), packed()):
+        with engine:
+            assert _witnesses(g) == whole
+            assert flip_reachable_set(g) == set(whole)
+            for sigma, want in FLIP_BFS_WITNESSES["c5"].items():
+                assert flip_bfs_witness(g, sigma) == want
 
 
-@pytest.mark.parametrize("desc", ["c5", "p8"])  # the ranked and the tuple engine
+@pytest.mark.parametrize("desc", ["c5", "p8"])  # the ranked and the packed loop
 def test_flip_queries_refuse_non_arrangements(desc):
     g = graph_from_desc(desc)
     n = g.n
@@ -396,7 +412,7 @@ P8_FLIP_LEVELS = [1, 28, 252, 1050, 2310, 2772, 1716, 429]
 
 
 def test_flip_space_of_p8_on_the_tuple_engine(oracle):
-    # boards over puzzle._RANKED_MAX_N vertices search over tuples
+    # boards over puzzle._RANKED_MAX_N vertices search on packed int64 keys
     reach = flip_reachable_set(path(8))
     assert len(reach) == sum(P8_FLIP_LEVELS) == 8558
     assert reach == oracle.flip_reachable(oracle.path(8))

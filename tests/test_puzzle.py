@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import math
@@ -11,6 +12,7 @@ from pebblex import puzzle as _p
 from pebblex.catalog import connected_graphs
 from pebblex.classify import girth5_reachable_oracle
 from pebblex.errors import CapExceededError, IllegalMoveError, PuzzleError
+from pebblex.flips import flip_bfs_oracle, flip_bfs_witness, flip_reachable_set
 from pebblex.graphs import (
     Graph,
     cartesian_product,
@@ -354,26 +356,17 @@ def _agreement_instances():
         yield puz_on(gapped)
 
 
-def _engine_answers(pz, start, targets):
-    """(reachable set, count, equivalence verdicts) from each search core."""
-    cap = _p.DEFAULT_CAP
-    answers = {}
-    for engine, search, unpack in [
-        ("ranked", _p._ranked_search, _p._ranked_unpack),
-        ("packed", _p._np_search, _p._np_unpack),
-    ]:
-        visited, count, _ = search(pz, start, cap)
-        answers[engine] = (unpack(pz, visited), count,
-                           [search(pz, start, cap, t)[2] for t in targets])
-    levels = frozenset().union(*_levels(pz, start))
-    return answers | {
-        "levels": (levels, len(levels), [t in levels for t in targets]),
-        "public": (reachable_set(pz, start), reachable_count(pz, start),
-                   [equivalent(pz, start, t) for t in targets]),
-    }
+def _answers(pz, start, targets):
+    """(reachable set, count, equivalence verdicts, the end and length of
+    each witness) from the public entries."""
+    witnesses = [bfs_witness(pz, start, t) for t in targets]
+    return (reachable_set(pz, start), reachable_count(pz, start),
+            [equivalent(pz, start, t) for t in targets],
+            [None if w is None else (replay(pz, start, w), len(w))
+             for w in witnesses])
 
 
-def test_numpy_and_python_searches_agree():
+def test_numpy_and_python_searches_agree(packed):
     rng = random.Random(7)
     instances = list(_agreement_instances())
     assert {pz.n for pz in instances} == {1, 2, 3, 4, 5, 6}
@@ -381,12 +374,15 @@ def test_numpy_and_python_searches_agree():
         ident = identity_configuration(pz)
         starts = [ident] + [tuple(rng.sample(ident, pz.n)) for _ in range(2)]
         for start in starts:
-            reach = reachable_set(pz, start)
+            levels = _levels(pz, start)
+            depth = {f: d for d, level in enumerate(levels) for f in level}
+            reach = frozenset(depth)
             targets = [start, max(reach), tuple(rng.sample(ident, pz.n))]
-            answers = _engine_answers(pz, start, targets)
-            expected = (reach, len(reach), [t in reach for t in targets])
-            for engine, got in answers.items():
-                assert got == expected, (pz, start, engine)
+            expected = (reach, len(reach), [t in reach for t in targets],
+                        [(t, depth[t]) if t in reach else None for t in targets])
+            assert _answers(pz, start, targets) == expected, (pz, start)
+            with packed():
+                assert _answers(pz, start, targets) == expected, (pz, start)
 
 
 def _levels(pz, start):
@@ -416,22 +412,28 @@ def _levels(pz, start):
     ids=["c5", "p4/star3", "p5^2", "q2", "c7/star6", "q3", "p9^2~8/p8",
          "p16"],
 )
-def test_cap_boundary(pz):
-    # boards over 7 vertices go to the packed-key engine (p16 on byte keys);
-    # it is also called directly so that the smaller boards hold it to the
-    # same boundary as the public entry
+def test_cap_boundary(pz, packed):
+    # boards over 7 vertices go to the packed-key loop (p16 on byte keys);
+    # it is also forced on the smaller boards, to hold it to the same
+    # boundary as the ranked loop
     start = identity_configuration(pz)
 
     def packed_count(pz, cap):
-        return _p._np_search(pz, start, cap)[1]
+        with packed():
+            return reachable_count(pz, cap=cap)
 
     def packed_found(target, cap):
-        return _p._np_search(pz, start, cap, target)[2]
+        with packed():
+            return equivalent(pz, start, target, cap=cap)
 
     def witness(target, cap):
         moves = bfs_witness(pz, start, target, cap=cap)
         assert replay(pz, start, moves) == target
         return len(moves)
+
+    def packed_witness(target, cap):
+        with packed():
+            return witness(target, cap)
 
     count = reachable_count(pz)
     message = f"visited {count} configurations, cap is {count - 1}"
@@ -450,7 +452,7 @@ def test_cap_boundary(pz):
         through = sum(len(level) for level in levels[: depth + 1])
         for target in (levels[depth][0], levels[depth][-1]):
             queries = (functools.partial(equivalent, pz, start), packed_found,
-                       witness)
+                       witness, packed_witness)
             for query in queries:
                 with pytest.raises(CapExceededError) as exc:
                     query(target, cap=through - 1)
@@ -459,6 +461,48 @@ def test_cap_boundary(pz):
                 )
                 assert query(target, cap=through)
             assert witness(target, cap=through) == depth
+            assert packed_witness(target, cap=through) == depth
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 16])
+def test_one_cap_rule_when_no_move_is_legal(n):
+    # on an edgeless board the start is the whole search, on ranks (1 and 5
+    # vertices), int64 keys (8) and byte keys (16), and the flip space has
+    # no paths.  The cap is checked after every level, the start's too, so
+    # every query that searches raises at cap 0; equivalent(f, f) and
+    # is_feasible's up-front n! check answer before any search
+    g = Graph(range(1, n + 1))
+    pz = puz_on(g)
+    ident = identity_configuration(pz)
+    other = ident[::-1]
+    P = functools.partial
+    queries = [(P(reachable_count, pz), 1), (P(reachable_set, pz), {ident}),
+               (P(bfs_witness, pz, ident, ident), []),
+               (P(flip_reachable_set, g), {ident}),
+               (P(flip_bfs_oracle, g, ident), True),
+               (P(flip_bfs_witness, g, ident), [])]
+    if n > 1:  # a target no move reaches
+        queries += [(P(equivalent, pz, ident, other), False),
+                    (P(bfs_witness, pz, ident, other), None),
+                    (P(flip_bfs_oracle, g, other), False),
+                    (P(flip_bfs_witness, g, other), None)]
+    if n <= 5:  # Aut(g) is the whole symmetric group
+        queries += [(lambda cap: pebble_exchange_group(g, cap=cap).order, 1),
+                    (lambda cap: exchange_group_counts(g, cap=cap)[1:],
+                     (math.factorial(n), 1)),
+                    (P(is_peb_normal_in_aut, g), True)]
+    for query, answer in queries:
+        assert query(cap=1) == answer, query
+        with pytest.raises(CapExceededError) as exc:
+            query(cap=0)
+        assert str(exc.value) == "visited 1 configurations, cap is 0", query
+    assert equivalent(pz, ident, ident, cap=0)
+    with pytest.raises(CapExceededError) as exc:
+        is_feasible(pz, cap=0)
+    assert str(exc.value) == (
+        f"full configuration space has {math.factorial(n)} states, cap is 0"
+    )
+    assert is_feasible(pz, cap=math.factorial(n)) == (n == 1)
 
 
 @pytest.mark.parametrize(
@@ -556,53 +600,56 @@ def test_p9_squared_answers_are_pinned():
     assert verdicts == [False, False, False, True, True]
 
 
-@pytest.mark.parametrize("n", [8, 15])
+@pytest.mark.parametrize("n", [8, 15, 16])
 def test_int64_child_keys_step_by_the_edge_delta(n):
     # 15 vertices is the largest int64 radix; overflow in the delta would
-    # show as a key that differs from the swapped row's
+    # show as a key that differs from the reversed row's.  The moves are
+    # every swap of the clique K_n and a few longer paths on it; at 16
+    # vertices the byte keys gather their child rows instead
     rng = np.random.default_rng(n)
     rows = np.array([rng.permutation(n) for _ in range(40)]
                     + [np.arange(n)[::-1], np.arange(n)], dtype=np.uint8)
-    P = rng.random((n, n)) < 0.5
+    P = rng.random((n, n)) < 0.7
     P = P | P.T
-    I, J = np.array([(a, b) for a in range(n) for b in range(a + 1, n)]).T
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    paths = edges + [tuple(rng.permutation(n)[:k]) for k in range(3, n + 1)]
     expected = []
     for row in rows:
-        for a, b in zip(I, J):
-            if P[row[a], row[b]]:
+        for p in paths:
+            if all(P[row[a], row[b]] for a, b in zip(p, p[1:])):
                 kid = row.copy()
-                kid[[a, b]] = kid[[b, a]]
+                kid[list(p)] = kid[list(p[::-1])]
                 expected.append(kid)
+    moves = _p._moves(edges, paths)
     keys = _p._keys(rows)
-    got = _p._int64_children(keys, P, I, J)
+    got = _p._children(keys, _p._rows(keys, n), moves,
+                       _p._legal(rows, P, moves))
     assert len(expected) > 500
     assert got.tolist() == _p._keys(np.array(expected)).tolist()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_packed_and_ranked_engines_agree_to_six_vertices(n):
+def test_packed_and_ranked_engines_agree_to_six_vertices(n, packed):
     # every connected board, against itself, a star and a clique; one cap
     # boundary per n, on the instance with the largest component
-    cap = _p.DEFAULT_CAP
     widest = None
     for board in connected_graphs(n):
         pebble_graphs = [board, complete(n)] + ([star(n - 1)] if n > 1 else [])
         for pz in (Puz(board, pebbles) for pebbles in pebble_graphs):
-            start = identity_configuration(pz)
-            ranked = _p._ranked_search(pz, start, cap)
-            packed = _p._np_search(pz, start, cap)
-            reach = _p._ranked_unpack(pz, ranked[0])
-            assert _p._np_unpack(pz, packed[0]) == reach, pz
-            assert packed[1] == ranked[1] == len(reach), pz
-            if widest is None or len(reach) > widest[1]:
-                widest = (pz, len(reach))
+            ranked = reachable_set(pz)
+            with packed():
+                got = reachable_set(pz), reachable_count(pz)
+            assert got == (ranked, len(ranked)), pz
+            assert reachable_count(pz) == len(ranked), pz
+            if widest is None or len(ranked) > widest[1]:
+                widest = (pz, len(ranked))
     pz, count = widest
-    start = identity_configuration(pz)
-    for search in (_p._ranked_search, _p._np_search):
-        if count > 1:  # the start alone is never checked against the cap
+    for engine in (contextlib.nullcontext, packed):
+        with engine():
+            # the start is a level too: with one state, cap 0 raises
             with pytest.raises(CapExceededError) as exc:
-                search(pz, start, count - 1)
+                reachable_count(pz, cap=count - 1)
             assert str(exc.value) == (
                 f"visited {count} configurations, cap is {count - 1}"
             )
-        assert search(pz, start, count)[1] == count
+            assert reachable_count(pz, cap=count) == count
