@@ -511,10 +511,11 @@ class _Search(NamedTuple):
 
 
 def _search(puz, start, cap, target=None, witness=False, paths=None):
-    """Breadth-first search from ``start`` in which each board path of
-    ``paths`` is a move: it is legal when every pebble pair along it is
-    adjacent in the pebble graph, and it reverses the pebbles on it.  No
-    paths means the board edges, in ``_edge_positions`` order: pebble swaps.
+    """Breadth-first search from ``start`` (None: the identity) in which
+    each board path of ``paths`` is a move: it is legal when every pebble
+    pair along it is adjacent in the pebble graph, and it reverses the
+    pebbles on it.  No paths means the board edges, in ``_edge_positions``
+    order: pebble swaps.
 
     The search ends after the level on which ``target`` first appears, or
     when no level is left.  The cap is checked after every level, the start
@@ -522,9 +523,11 @@ def _search(puz, start, cap, target=None, witness=False, paths=None):
     CapExceededError.  Only with ``witness`` are parents recorded; then
     ``moves_to(config)`` gives the paths that first reached config.
     """
+    start = identity_configuration(puz) if start is None else start
     index = puz.pebbles.index_of
     board = puz.board.index_of
-    ends = [[index(p) for p in f] for f in (start, target) if f is not None]
+    ends = [[index(p) for p in check_configuration(puz, f)]
+            for f in (start, target) if f is not None]
     moves = _moves(_edge_positions(puz), None if paths is None else
                    [[board(v) for v in p] for p in paths])
     count, found, rows, trail = _engine(puz.n)(puz, moves, ends, cap, witness)
@@ -543,17 +546,11 @@ def _search(puz, start, cap, target=None, witness=False, paths=None):
 
 def reachable_set(puz, start=None, cap=DEFAULT_CAP):
     """All configurations reachable from ``start`` (default: identity)."""
-    start = check_configuration(
-        puz, identity_configuration(puz) if start is None else start
-    )
     return _search(puz, start, cap).states()
 
 
 def reachable_count(puz, start=None, cap=DEFAULT_CAP):
     """Size of the reachable set, without materializing configurations."""
-    start = check_configuration(
-        puz, identity_configuration(puz) if start is None else start
-    )
     return _search(puz, start, cap).count
 
 
