@@ -215,13 +215,15 @@ def _moves(edges, paths=None):
         edge[i, j] = edge[j, i] = e
     L = max(map(len, paths), default=2) - 1
     S = (L + 1) // 2
-    table = []
-    for p in paths:
+
+    def row(p):  # one path's column of the table below
         e = [edge[step] for step in zip(p, p[1:])]
         h = len(p) // 2
         pad = [0] * (S - h)
-        table += e, e[-1:] * (L - len(e)), p[:h], pad, p[: -h - 1: -1], pad
-    table = np.fromiter(itertools.chain.from_iterable(table), dtype=np.intp)
+        return [*e, *e[-1:] * (L - len(e)), *p[:h], *pad, *p[: -h - 1: -1], *pad]
+
+    table = np.fromiter(itertools.chain.from_iterable(map(row, paths)),
+                        dtype=np.intp, count=len(paths) * (L + 2 * S))
     table = table.reshape(-1, L + 2 * S).T
     return _Moves(I, J, table[:L], table[L: L + S], table[L + S:])
 
