@@ -220,7 +220,7 @@ def _moves(edges, paths=None):
         e = [edge[step] for step in zip(p, p[1:])]
         h = len(p) // 2
         pad = [0] * (S - h)
-        return [*e, *e[-1:] * (L - len(e)), *p[:h], *pad, *p[: -h - 1: -1], *pad]
+        return [*e, *e[-1:] * (L - len(e)), *p[:h], *pad, *p[::-1][:h], *pad]
 
     table = np.fromiter(itertools.chain.from_iterable(map(row, paths)),
                         dtype=np.intp, count=len(paths) * (L + 2 * S))
@@ -315,11 +315,11 @@ def _ranked_levels(puz, moves, ends, cap, witness):
     """The level loop over permutation ranks, for n <= _RANKED_MAX_N.
 
     A child's rank is one swap-table lookup per swap of its move, the
-    padding (0, 0) swaps reading the identity column.  Without a
-    witness, each level is marked in an n!-entry array and read back in rank
-    order.  With one, children are taken in (frontier row, move) order, each
-    new rank keeps its first discovery with its parent rank and move index,
-    and the frontier stays in discovery order.
+    padding (0, 0) swaps reading the identity column.  Without a witness,
+    each level is marked in an n!-entry array and read back in rank order.
+    With one, children are taken in (frontier row, move) order, each new
+    rank keeps its first discovery with its parent rank and move index, and
+    the frontier stays in discovery order.
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
@@ -467,7 +467,8 @@ def _packed_levels(puz, moves, ends, cap, witness):
                 cell = _first_occurrences(kids)
                 cell = cell[_absent(kids[cell], levels[-2:])]
                 row, move = _cells(legal)
-                parts.append((kids[cell], row[cell] + lo, move[cell]))
+                parts.append((kids[cell], (row[cell] + lo).astype(np.int32),
+                              move[cell].astype(np.int32)))
             else:
                 kids = _distinct(kids)
                 parts.append(kids[_absent(kids, levels[-2:])])
