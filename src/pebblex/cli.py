@@ -186,6 +186,8 @@ def _cmd_flips(args):
 
 def _cmd_replay_flips(args):
     g = _graph(args.graph)
+    if not g.is_dense_labeled():  # the report gives a tuple over 1..n
+        raise ValueError("needs a densely labeled graph")
     with open(args.cert) as fh:
         seq = parse_flip_sequence(fh.read())
     perm = flip_sequence_permutation(g, seq)

@@ -38,7 +38,16 @@ from .graphs import (
     shortest_path,
     shortest_path_to_set,
 )
-from .perms import compose, is_automorphism
+from .perms import (
+    _orbit,
+    compose,
+    cycles,
+    inverse,
+    is_automorphism,
+    is_identity,
+    perm_order,
+    perm_power,
+)
 from .puzzle import _search, check_configuration, identity_configuration, puz_on
 
 DEFAULT_FLIP_CAP = 1_000_000
@@ -195,65 +204,9 @@ def flip_bfs_witness(g, sigma, cap=DEFAULT_FLIP_CAP):
 
 
 # ---------------------------------------------------------------------------
-# dict-based internals (recursion runs on induced subgraphs whose vertex
-# labels keep their host-graph names, so sequences lift verbatim)
-
-def _dict_identity(g):
-    return {v: v for v in g.vertices}
-
-
-def _dict_compose(a, b):
-    """Apply b first, then a."""
-    return {v: a[b[v]] for v in b}
-
-
-def _dict_inverse(a):
-    return {img: v for v, img in a.items()}
-
-
-def _dict_order(sig):
-    seen = set()
-    out = 1
-    for s in sig:
-        if s in seen:
-            continue
-        ln = 1
-        seen.add(s)
-        v = sig[s]
-        while v != s:
-            seen.add(v)
-            ln += 1
-            v = sig[v]
-        out = math.lcm(out, ln)
-    return out
-
-
-def _dict_power(sig, k):
-    out = {v: v for v in sig}
-    for _ in range(k):
-        out = _dict_compose(sig, out)
-    return out
-
-
-def _dict_orbit(sig, v):
-    orb = [v]
-    w = sig[v]
-    while w != v:
-        orb.append(w)
-        w = sig[w]
-    return orb
-
-
-def _is_aut_dict(g, sig):
-    vs = set(g.vertices)
-    if set(sig) != vs or set(sig.values()) != vs:
-        return False
-    return all(g.has_edge(sig[u], sig[v]) for u, v in g.edges())
-
-
-def _is_identity(sig):
-    return all(v == img for v, img in sig.items())
-
+# dict-based internals: recursion runs on induced subgraphs whose vertex
+# labels keep their host-graph names, so sequences lift verbatim; the
+# permutations are perms' dict form
 
 def _apply_flip_dict(g, cfg, path, where):
     if len(path) < 2 or len(set(path)) != len(path):
@@ -274,7 +227,7 @@ def _apply_flip_dict(g, cfg, path, where):
 
 
 def _replay_dict(g, flips, where):
-    cfg = _dict_identity(g)
+    cfg = {v: v for v in g.vertices}
     for fl in flips:
         _apply_flip_dict(g, cfg, fl, where)
     return cfg
@@ -305,12 +258,10 @@ def _select_dict(g, sig):
     only when no such vertex exists.
     """
     place = {}  # vertex -> (its cycle, its position there)
-    for v in g.vertices:
-        if v not in place:
-            cyc = _dict_orbit(sig, v)
-            for i, w in enumerate(cyc):
-                place[w] = (cyc, i)
-    ordr = _dict_order(sig)
+    for cyc in cycles(sig):
+        for i, w in enumerate(cyc):
+            place[w] = (cyc, i)
+    ordr = perm_order(sig)
     near, far = [], []
     for e in range(1, ordr + 1):
         if math.gcd(e, ordr) != 1:
@@ -350,13 +301,13 @@ def _realize(g, sig, depth):
     """
     if depth <= 0:
         raise RealizationError("recursion depth guard exceeded")
-    if _is_identity(sig):
+    if is_identity(sig):
         return []
-    if not _is_aut_dict(g, sig):
+    if not is_automorphism(g, sig):
         raise RealizationError(
             f"internal: {sig} is not an automorphism of the working graph"
         )
-    ordr = _dict_order(sig)
+    ordr = perm_order(sig)
     fac = _factorize(ordr)
     if len(fac) > 1:
         flips = _split_composite(g, sig, ordr, fac, depth)
@@ -384,8 +335,8 @@ def _split_composite(g, sig, ordr, fac, depth):
     s = ordr // r
     u = pow(r, -1, s)
     v = ((1 - u * r) // s) % r
-    sig_r = _dict_power(sig, r)
-    sig_s = _dict_power(sig, s)
+    sig_r = perm_power(sig, r)
+    sig_s = perm_power(sig, s)
     seq_r = _realize(g, sig_r, depth - 1)
     seq_s = _realize(g, sig_s, depth - 1)
     return seq_r * u + seq_s * v
@@ -423,7 +374,7 @@ def _case_fixed_point(g, sig, depth):
             break
         ca, cb = moved
         va, vb = set(comps[ca]), set(comps[cb])
-        inv = _dict_inverse(residual)
+        inv = inverse(residual)
         nu = {}
         for v in g.vertices:
             if v in va:
@@ -432,12 +383,12 @@ def _case_fixed_point(g, sig, depth):
                 nu[v] = inv[v]
             else:
                 nu[v] = v
-        if not _is_aut_dict(g, nu) or not _is_identity(_dict_compose(nu, nu)):
+        if not is_automorphism(g, nu) or not is_identity(compose(nu, nu)):
             raise RealizationError(
                 "internal: component swap is not an involutive automorphism"
             )
         swaps.append(nu)
-        residual = _dict_compose(nu, residual)
+        residual = compose(nu, residual)
     out = []
     for nu in swaps:
         out += _realize_component_swap(g, nu, x, depth)
@@ -490,17 +441,17 @@ def _realize_component_swap(g, nu, x, depth):
 # -- case: no fixed point ----------------------------------------------------
 
 def _case_moving(g, sig, x, d, m, depth):
-    ordr = _dict_order(sig)
-    pwr = [_dict_identity(g)]
+    ordr = perm_order(sig)
+    pwr = [{v: v for v in g.vertices}]
     for _ in range(ordr):
-        pwr.append(_dict_compose(sig, pwr[-1]))
+        pwr.append(compose(sig, pwr[-1]))
     pth = shortest_path(g, x, sig[x])
     if pth is None or len(pth) != d + 1:
         raise RealizationError("internal: basepoint path length mismatch")
     # structural facts the construction leans on: the orbits of the path's
     # first d vertices are pairwise disjoint and each has size divisible by
     # the basepoint orbit size
-    orbits = [_dict_orbit(sig, pth[j]) for j in range(d)]
+    orbits = [_orbit(pth[j], [sig]) for j in range(d)]
     if len({v for o in orbits for v in o}) != sum(len(o) for o in orbits):
         raise RealizationError("internal: path orbits are not disjoint")
     if any(len(o) % m for o in orbits):
@@ -567,9 +518,9 @@ def _spanning_cycle(g, sig, pwr, pth, d, ordr):
     rhod = {zp[i]: zp[(d - i) % r] for i in range(r)}
     cyc = Graph(zp, [(zp[t], zp[(t + 1) % r]) for t in range(r)])
     for rho in (rho0, rhod):
-        if not _is_aut_dict(cyc, rho):
+        if not is_automorphism(cyc, rho):
             raise RealizationError("internal: reflection is not a cycle map")
-    if _dict_compose(rhod, rho0) != sig:
+    if compose(rhod, rho0) != sig:
         raise RealizationError("internal: reflections do not compose to sig")
     return [_reflection_flip(zp, d), _reflection_flip(zp, 0)]
 
@@ -597,13 +548,13 @@ def _check_pair_split(h, sig, tau, glift, m, x0, where):
     vs = set(h.vertices)
     if set(tau.values()) != vs:
         raise RealizationError(f"internal: {where}: twist is not a bijection")
-    if not _is_aut_dict(h, tau):
+    if not is_automorphism(h, tau):
         raise RealizationError(f"internal: {where}: twist is not a map of H")
-    if not _is_identity(_dict_power(tau, m)):
+    if not is_identity(perm_power(tau, m)):
         raise RealizationError(f"internal: {where}: twist order exceeds m")
-    if not _is_aut_dict(h, glift):
+    if not is_automorphism(h, glift):
         raise RealizationError(f"internal: {where}: lift is not a map of H")
-    if _dict_compose(glift, tau) != sig:
+    if compose(glift, tau) != sig:
         raise RealizationError(f"internal: {where}: split does not compose")
     if x0 == vs:
         raise RealizationError(f"internal: {where}: residue class not proper")
@@ -647,7 +598,7 @@ def _grow_tails(g, sig, pwr, pth, d, m, ordr, hv, he, xk, x, depth):
     for i in range(ordr):
         fv.update(pwr[i][v] for v in qpath)
         fe.update(tuple(sorted((pwr[i][a], pwr[i][b]))) for a, b in q_edges)
-    orbit_z = set(_dict_orbit(sig, z))
+    orbit_z = _orbit(z, [sig])
     if fv != set(g.vertices):
         return _split_off_orbit(g, sig, fv, fe, orbit_z, depth)
     f = Graph(fv, fe)
@@ -688,15 +639,15 @@ def _split_off_orbit(g, sig, fv, fe, orbit_z, depth):
     for sub, name in ((f, "F"), (fp, "F'"), (gp, "G'")):
         if not is_connected(sub):
             raise RealizationError(f"internal: {name} is disconnected")
-    inv = _dict_inverse(sig)
+    inv = inverse(sig)
     sig_f = {v: sig[v] for v in fv}
     sig_fp = {v: inv[v] for v in fpv}
     sig_gp = {v: sig[v] for v in gpv}
-    if not _is_aut_dict(f, sig_f):
+    if not is_automorphism(f, sig_f):
         raise RealizationError("internal: sig does not preserve F")
-    if not _is_aut_dict(fp, sig_fp):
+    if not is_automorphism(fp, sig_fp):
         raise RealizationError("internal: sig^-1 does not preserve F'")
-    if not _is_aut_dict(gp, sig_gp):
+    if not is_automorphism(gp, sig_gp):
         raise RealizationError("internal: sig does not preserve G'")
     for v in g.vertices:
         c = sig_gp.get(v, v)
@@ -741,15 +692,15 @@ def _cycle_with_tails(g, sig, pwr, pth, qpath, d, ordr, hv, f, y, depth):
             put(zlab[idx], zlab[(d * t - idx) % r])
         if set(rho) != set(f.vertices) or set(rho.values()) != set(f.vertices):
             raise RealizationError("internal: reflection does not cover F")
-        if not _is_identity(_dict_compose(rho, rho)):
+        if not is_identity(compose(rho, rho)):
             raise RealizationError("internal: reflection is not an involution")
-        if not _is_aut_dict(f, rho):
+        if not is_automorphism(f, rho):
             raise RealizationError("internal: reflection does not preserve F")
         rhos.append(rho)
     rho1, rho0 = rhos
-    if _dict_compose(rho1, rho0) != sig:
+    if compose(rho1, rho0) != sig:
         raise RealizationError("internal: reflections do not compose to sig")
-    orbit_z = _dict_orbit(sig, qpath[0])
+    orbit_z = _orbit(qpath[0], [sig])
     return _realize_reflection(f, rho1, orbit_z, depth) + _realize_reflection(
         f, rho0, orbit_z, depth
     )
@@ -761,12 +712,11 @@ def _realize_reflection(f, rho, orbit_z, depth):
     recurse on the graph without the tail ends."""
     if depth <= 0:
         raise RealizationError("recursion depth guard exceeded")
-    oset = set(orbit_z)
-    if {rho[v] for v in oset} != oset:
+    if {rho[v] for v in orbit_z} != orbit_z:
         raise RealizationError("internal: reflection moves the far orbit off")
     flips = []
     dirty = set()
-    for o in sorted(oset):
+    for o in sorted(orbit_z):
         if o in dirty or rho[o] == o:
             continue
         partner = rho[o]
@@ -780,7 +730,7 @@ def _realize_reflection(f, rho, orbit_z, depth):
         if len(rpath) - 2 >= 2:
             flips.append(tuple(rpath[1:-1]))
         dirty.update((o, partner))
-    rest = set(f.vertices) - oset
+    rest = set(f.vertices) - orbit_z
     subf = f.induced(rest)
     if not is_connected(subf):
         raise RealizationError("internal: removing tail ends disconnects F")

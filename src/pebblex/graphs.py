@@ -31,7 +31,7 @@ class Graph:
     to a frozenset of neighbors.  No loops, no multi-edges.
     """
 
-    __slots__ = ("vertices", "adj", "_m", "_index")
+    __slots__ = ("vertices", "adj", "_m", "_index", "_edges")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(sorted({int(v) for v in vertices}))
@@ -57,6 +57,7 @@ class Graph:
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_m", sum(len(ns) for ns in adj.values()) // 2)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
+        object.__setattr__(self, "_edges", None)  # edges() fills it
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -70,10 +71,12 @@ class Graph:
         return self._m
 
     def edges(self):
-        """Sorted tuple of (u, v) pairs with u < v."""
-        return tuple(
-            (u, v) for u in self.vertices for v in sorted(self.adj[u]) if u < v
-        )
+        """Sorted tuple of (u, v) pairs with u < v, built on the first call."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", tuple(
+                (u, v) for u in self.vertices for v in sorted(self.adj[u]) if u < v
+            ))
+        return self._edges
 
     def has_edge(self, u, v):
         return v in self.adj.get(u, ())
@@ -227,16 +230,6 @@ def distances_from(g, s):
                 dist[w] = dist[v] + 1
                 q.append(w)
     return dist
-
-
-def distance(g, u, v):
-    """Hop count between u and v; math.inf when disconnected."""
-    if not g.has_vertex(u) or not g.has_vertex(v):
-        raise ValueError(f"vertex out of range: ({u},{v})")
-    if u == v:
-        return 0
-    dist = distances_from(g, u)
-    return dist.get(v, INF)
 
 
 def shortest_path(g, u, v):

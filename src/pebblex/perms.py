@@ -1,8 +1,16 @@
 """Permutations of graph vertex sets and automorphism groups.
 
-A permutation of a densely labeled n-vertex graph is a tuple ``p`` of length
-n with ``p[i-1]`` the image of vertex i.  Composition is right-to-left:
-``compose(p, q)`` applies q first, then p.
+A permutation comes in one of two forms.  On a densely labeled n-vertex
+graph it is a tuple ``p`` of length n with ``p[i-1]`` the image of vertex i;
+on any label set it is a dict from each label to its image, which is how the
+flip realizer keeps the host's names on its subgraphs.  Every operation
+(``compose``, ``inverse``, ``perm_power``, ``perm_order``, ``cycles`` with
+``sign`` and ``cycle_notation``, ``is_identity``, ``is_automorphism``) takes
+either form and has one implementation, written on the dict form.  Only the
+two seam helpers look at the type: ``_as_dict`` reads a tuple as
+``{i: p[i-1]}``, and ``_like`` turns a result back into a tuple when the
+input was one.  Composition is right-to-left: ``compose(p, q)`` applies q
+first, then p.
 
 Every automorphism and isomorphism in the package comes from one matcher
 loop, ``_matches``, over tables built once per pair of graphs; it works on
@@ -34,57 +42,83 @@ def is_perm(p):
     return sorted(p) == list(range(1, len(p) + 1))
 
 
+def _as_dict(p):
+    """The seam in: a tuple p over 1..n read as {i: p[i-1]}; a dict as is."""
+    return p if isinstance(p, dict) else dict(enumerate(p, 1))
+
+
+def _like(p, d):
+    """The seam out: the result d as a tuple over 1..n when p was a tuple."""
+    return d if isinstance(p, dict) else tuple(d[i] for i in range(1, len(d) + 1))
+
+
+def is_identity(p):
+    return all(v == img for v, img in _as_dict(p).items())
+
+
 def compose(p, q):
     """Apply q first, then p."""
     if len(p) != len(q):
         raise ValueError("length mismatch")
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    a, b = _as_dict(p), _as_dict(q)
+    return _like(q, {v: a[b[v]] for v in b})
 
 
 def inverse(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
+    return _like(p, {img: v for v, img in _as_dict(p).items()})
 
 
 def perm_power(p, k):
     """p composed with itself k times; negative k uses the inverse."""
-    n = len(p)
+    base = _as_dict(p)
+    result = {v: v for v in base}
     if k < 0:
-        p = inverse(p)
+        base = inverse(base)
         k = -k
-    result = identity_perm(n)
-    base = p
     while k:
         if k & 1:
             result = compose(base, result)
         base = compose(base, base)
         k >>= 1
-    return result
+    return _like(p, result)
 
 
 def perm_order(p):
-    """lcm of cycle lengths."""
-    return math.lcm(*(len(c) for c in cycles(p))) if p else 1
+    """lcm of cycle lengths.  Its own walk, which keeps no cycle and sorts
+    nothing: realizing every automorphism of the connected graphs on 2-7
+    vertices asks for some 190,000 orders, and taking them from ``cycles``
+    made that sweep about 5% slower."""
+    p = _as_dict(p)
+    seen = set()
+    order = 1
+    for s in p:
+        if s in seen:
+            continue
+        length = 1
+        v = p[s]
+        while v != s:
+            seen.add(v)
+            length += 1
+            v = p[v]
+        order = math.lcm(order, length)
+    return order
 
 
 def cycles(p):
     """Cycle decomposition, fixed points included; each cycle starts at its
     smallest element, cycles sorted by first element."""
-    n = len(p)
-    seen = [False] * n
+    p = _as_dict(p)
+    seen = set()
     out = []
-    for s in range(1, n + 1):
-        if seen[s - 1]:
+    for s in sorted(p):
+        if s in seen:
             continue
         c = [s]
-        seen[s - 1] = True
-        v = p[s - 1]
+        v = p[s]
         while v != s:
             c.append(v)
-            seen[v - 1] = True
-            v = p[v - 1]
+            v = p[v]
+        seen.update(c)
         out.append(tuple(c))
     return out
 
@@ -99,14 +133,6 @@ def cycle_notation(p):
 def sign(p):
     """+1 for even permutations, -1 for odd."""
     return -1 if sum(len(c) - 1 for c in cycles(p)) % 2 else 1
-
-
-def transposition(n, a, b):
-    if not (1 <= a <= n and 1 <= b <= n and a != b):
-        raise ValueError("need two distinct vertices in range")
-    p = list(range(1, n + 1))
-    p[a - 1], p[b - 1] = b, a
-    return tuple(p)
 
 
 def parse_perm(text, n=None):
@@ -128,10 +154,11 @@ def parse_perm(text, n=None):
 # automorphisms
 
 def is_automorphism(g, p):
-    """Does the tuple p preserve adjacency of the densely labeled graph g?"""
-    if len(p) != g.n or not is_perm(p):
+    """Does p map g's vertices onto themselves and preserve adjacency?"""
+    p, adj = _as_dict(p), g.adj
+    if p.keys() != adj.keys() or set(p.values()) != adj.keys():
         return False
-    return all(g.has_edge(p[u - 1], p[v - 1]) for u, v in g.edges())
+    return all(p[v] in adj[p[u]] for u, v in g.edges())
 
 
 class _Tables(NamedTuple):

@@ -346,6 +346,8 @@ def compile_automorphism_to_square_moves(g, sigma, board_desc=None):
     """
     from .flips import realize_by_flips
 
+    if not g.is_dense_labeled():
+        raise ValueError("needs a densely labeled graph")
     sigma = tuple(sigma)
     if not is_automorphism(g, sigma):
         raise ValueError(f"{sigma} is not an automorphism of the graph")

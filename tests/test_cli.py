@@ -133,6 +133,18 @@ def test_flips_rejects_non_automorphism(capsys):
     assert "not an automorphism" in out.err
 
 
+def test_replay_flips_refuses_gapped_labels(capsys, tmp_path):
+    # c6~3 has labels 1,2,4,5,6; its report would give a tuple over 1..n,
+    # so it is refused as flips refuses it, even for an empty flip file
+    for text in ("0\n", "1\n1 1 2\n"):
+        cert = tmp_path / "gapped.flips"
+        cert.write_text(text)
+        code, out = run(capsys, "replay-flips", "--graph", "c6~3",
+                        "--cert", str(cert))
+        assert (code, out.out) == (2, "")
+        assert out.err == "error: needs a densely labeled graph\n"
+
+
 # ---------------------------------------------------------------------------
 # squared-path and squared-graph certificates
 

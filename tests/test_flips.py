@@ -30,10 +30,10 @@ from pebblex import (
 )
 from pebblex import flips, puzzle
 from pebblex.catalog import connected_graphs
-from pebblex.flips import _dict_power, _select_dict
+from pebblex.flips import _select_dict
 from pebblex.graphs import distances_from
 from pebblex.names import graph_from_desc
-from pebblex.perms import automorphisms_dict
+from pebblex.perms import automorphisms_dict, perm_power
 
 
 def path(n):
@@ -556,7 +556,7 @@ def test_select_dict_basepoint_invariants():
     for g, sig, want in cases:
         powered, e, x, d, m = _select_dict(g, sig)
         assert (x, d, m) == want
-        assert powered == _dict_power(sig, e)
+        assert powered == perm_power(sig, e)
         assert distances_from(g, x)[powered[x]] == d
         orbit = {x}
         y = powered[x]
@@ -570,13 +570,13 @@ def _select_reference(g, sig):
     # the definition, by brute force: every power sig^e with e coprime to
     # the order, every vertex x, a fresh BFS and a fresh orbit walk each
     order = 1
-    while _dict_power(sig, order) != {v: v for v in sig}:
+    while perm_power(sig, order) != {v: v for v in sig}:
         order += 1
     best = None
     for e in range(1, order + 1):
         if math.gcd(e, order) != 1:
             continue
-        pe = _dict_power(sig, e)
+        pe = perm_power(sig, e)
         for x in g.vertices:
             m, y = 1, pe[x]
             while y != x:

@@ -15,7 +15,6 @@ from pebblex.graphs import (
     components,
     cut_vertices,
     cycle,
-    distance,
     distances_from,
     enumerate_matchings,
     format_graph,
@@ -152,9 +151,8 @@ def test_distances():
     g = cycle(6)
     d = distances_from(g, 1)
     assert d[4] == 3 and d[2] == 1 and d[1] == 0
-    assert distance(g, 2, 5) == 3
-    two = Graph([1, 2])
-    assert distance(two, 1, 2) == math.inf
+    assert distances_from(g, 2)[5] == 3
+    assert 2 not in distances_from(Graph([1, 2]), 1)  # unreachable: absent
     p = shortest_path(path(5), 1, 5)
     assert p == [1, 2, 3, 4, 5]
     assert shortest_path(Graph([1, 2]), 1, 2) is None

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pebblex.catalog import connected_graphs, trees
-from pebblex.graphs import complete, cycle, hypercube, path, star, theta_122
+from pebblex.graphs import Graph, complete, cycle, hypercube, path, star, theta_122
 from pebblex.names import graph_from_desc
 from pebblex.perms import (
     GroupSummary,
@@ -17,12 +17,12 @@ from pebblex.perms import (
     identity_perm,
     inverse,
     is_automorphism,
+    is_identity,
     is_perm,
     parse_perm,
     perm_order,
     perm_power,
     sign,
-    transposition,
 )
 
 
@@ -60,7 +60,7 @@ def test_inverse_and_power():
 def test_order_and_sign():
     assert perm_order((2, 3, 1, 5, 4)) == 6  # lcm(3, 2)
     assert sign(identity_perm(5)) == 1
-    assert sign(transposition(5, 2, 4)) == -1
+    assert sign((1, 4, 3, 2, 5)) == -1  # the transposition of 2 and 4
     assert sign((2, 3, 1)) == 1
     p = (2, 3, 1, 5, 4)
     assert sign(p) == -1
@@ -72,6 +72,71 @@ def test_cycles_and_notation():
     assert cycle_notation((2, 3, 1, 4)) == "(1 2 3)"
     assert cycle_notation(identity_perm(3)) == "()"
     assert cycle_notation((2, 1, 4, 3)) == "(1 2)(3 4)"
+
+
+# ---------------------------------------------------------------------------
+# the two forms: a tuple over 1..n, and a dict over any labels
+
+def _as_dict(p):
+    return {i: v for i, v in enumerate(p, 1)}
+
+
+def _relabel(d, f):
+    return {f(v): f(img) for v, img in d.items()}
+
+
+def test_tuple_and_dict_forms_agree_and_follow_a_relabeling():
+    rng = random.Random(14)
+    f = lambda v: 3 * v + 1  # increasing, so cycles keep their order
+    for n in range(9):
+        for _ in range(12):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            q = tuple(rng.sample(range(1, n + 1), n))
+            k = rng.randrange(-7, 8)
+            dp, dq = _as_dict(p), _as_dict(q)
+            # relabeled, with the keys in a shuffled order
+            rp, rq = (dict(rng.sample(sorted(_relabel(d, f).items()), n))
+                      for d in (dp, dq))
+            # operations whose answer is a permutation
+            for op, args, dargs, rargs in (
+                (compose, (p, q), (dp, dq), (rp, rq)),
+                (inverse, (p,), (dp,), (rp,)),
+                (perm_power, (p, k), (dp, k), (rp, k)),
+            ):
+                want = op(*args)
+                assert isinstance(want, tuple) and is_perm(want)
+                assert op(*dargs) == _as_dict(want)
+                assert op(*rargs) == _relabel(_as_dict(want), f)
+            # operations whose answer does not name a vertex
+            for op in (perm_order, sign, is_identity):
+                assert op(p) == op(dp) == op(rp)
+            assert cycles(dp) == cycles(p)
+            assert cycles(rp) == [tuple(map(f, c)) for c in cycles(p)]
+            assert cycle_notation(dp) == cycle_notation(p)
+            assert cycle_notation(rp) == ("".join(
+                "(" + " ".join(str(f(v)) for v in c) + ")"
+                for c in cycles(p) if len(c) > 1
+            ) or "()")
+            if n:
+                edges = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(n)]
+                if k % 2:  # the edges' images under p's powers: p preserves them
+                    powers = [perm_power(p, j) for j in range(perm_order(p))]
+                    edges = [(s[u - 1], s[v - 1]) for s in powers for u, v in edges]
+                g = Graph(range(1, n + 1), {tuple(sorted(e)) for e in edges if e[0] != e[1]})
+                h = g.relabeled({v: f(v) for v in g.vertices})
+                want = is_automorphism(g, p)
+                assert want or not k % 2
+                assert is_automorphism(g, dp) == is_automorphism(h, rp) == want
+
+
+def test_is_automorphism_on_gapped_labels():
+    g = Graph((1, 3, 5), [(1, 3), (3, 5)])
+    assert is_automorphism(g, (1, 2, 3)) is False  # not read as labels 1..3
+    assert is_automorphism(g, {1: 5, 3: 3, 5: 1})
+    assert not is_automorphism(g, {1: 3, 3: 1, 5: 5})
+    assert not is_automorphism(g, {1: 1, 3: 3})
+    assert not is_automorphism(g, {1: 1, 3: 3, 5: 1})  # not onto
+    assert not is_automorphism(g, {1: 1, 3: 3, 4: 5})  # 4 is no vertex
 
 
 def test_parse_perm():

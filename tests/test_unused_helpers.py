@@ -1,0 +1,56 @@
+"""Every top-level function and class of the package is exported from
+``pebblex/__init__.py`` or used by package code: a helper that only tests
+call is dead weight and gets deleted, with its tests moved to what it
+stood for."""
+
+import ast
+import collections
+import pathlib
+
+import pebblex
+
+SRC = pathlib.Path(pebblex.__file__).parent
+
+# (module, name) pairs kept although only tests call them, each with its reason
+TEST_ONLY = {
+    # tests/test_oracles.py checks the bridge half of graphs._cuts_and_bridges
+    # against networkx through it, and has_k_isthmus rests on that half
+    ("graphs", "bridges"),
+}
+
+
+def _referenced(node):
+    """Every name that node's code refers to, counted: bare names, attribute
+    names and imported names."""
+    refs = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            refs[sub.name.rsplit(".", 1)[-1]] += 1
+    return refs
+
+
+def _unused():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    everywhere = sum((_referenced(t) for t in trees.values()), collections.Counter())
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # a recursive call does not count as a use
+                elsewhere = everywhere[node.name] - _referenced(node)[node.name]
+                if elsewhere == 0 and (module, node.name) not in TEST_ONLY:
+                    out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_every_top_level_helper_is_exported_or_used():
+    assert _unused() == []
+
+
+def test_test_only_list_names_live_helpers():
+    for module, name in TEST_ONLY:
+        assert hasattr(getattr(pebblex, module), name)
