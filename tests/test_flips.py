@@ -1,6 +1,7 @@
 """Flip moves, the flip BFS oracle, and the constructive realizer."""
 
 import contextlib
+import hashlib
 import math
 import random
 
@@ -515,6 +516,26 @@ def test_realize_every_automorphism_small_graphs():
                 assert (sigma in reach) == True  # noqa: E712
                 total += 1
     assert total == 299
+
+
+# sha256 over repr(realize_by_flips(g, sigma)) for every automorphism of
+# every connected 6-vertex board (1,650 of them).  Unlike the boards behind
+# COMPILED_DIGEST, these reach the spanning quotient split, the tail
+# quotient split and the three-factor orbit split many times each.
+REALIZED_6_DIGEST = (
+    "89c9d1b3dc654376de7916c146b7f8fec7ce42d14ce8b45095c224cbbb49f6d2"
+)
+
+
+def test_realized_sequences_on_six_vertex_boards_are_pinned():
+    h = hashlib.sha256()
+    total = 0
+    for g in connected_graphs(6):
+        for sigma in automorphisms(g):
+            h.update(repr(realize_by_flips(g, sigma)).encode())
+            total += 1
+    assert total == 1650
+    assert h.hexdigest() == REALIZED_6_DIGEST
 
 
 # ---------------------------------------------------------------------------
