@@ -17,6 +17,7 @@ against brute-force search, returning JSON-ready report dicts.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from . import puzzle, squares
 from .errors import PuzzleError
 from .flips import flip_reachable_set, realize_by_flips
 from .graphs import (
-    Graph,
     cartesian_product,
     complement,
     complete_multipartite,
@@ -357,11 +357,23 @@ def verify_square_lemma(max_n=12, bfs_max_n=7, via="recursive"):
     )
 
 
-def _flip_worker(task):
-    n, edges, with_oracle = task
-    g = Graph(range(1, n + 1), edges)
+def _over_connected_boards(worker, max_n, arg, jobs):
+    """worker(g, arg) for every connected board up to max_n vertices, in
+    catalog order; with jobs > 1 the boards go to that many processes."""
+    from .catalog import connected_graphs
+
+    boards = [g for n in range(1, max_n + 1) for g in connected_graphs(n)]
+    if jobs and jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(worker, boards, itertools.repeat(arg),
+                                 chunksize=8))
+    return [worker(g, arg) for g in boards]
+
+
+def _flip_worker(g, oracle_max_n):
+    edges = g.edges()
     auts = automorphisms(g)
-    reach = flip_reachable_set(g) if with_oracle else None
+    reach = flip_reachable_set(g) if g.n <= oracle_max_n else None
     realized = 0
     confirmed = 0
     fails = []
@@ -386,24 +398,14 @@ def verify_flip_lemma(max_n=7, oracle_max_n=6, jobs=None):
     """Realize every automorphism of every connected board up to max_n
     vertices as a flip sequence (each realization is replay-checked),
     and confirm against flip-space BFS up to oracle_max_n vertices."""
-    from .catalog import connected_graphs
-
     t0 = time.perf_counter()
-    tasks = []
-    for n in range(1, max_n + 1):
-        for g in connected_graphs(n):
-            tasks.append((n, tuple(g.edges()), n <= oracle_max_n))
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_flip_worker, tasks, chunksize=8))
-    else:
-        results = [_flip_worker(t) for t in tasks]
+    results = _over_connected_boards(_flip_worker, max_n, oracle_max_n, jobs)
     total = sum(r[0] for r in results)
     realized = sum(r[1] for r in results)
     confirmed = sum(r[2] for r in results)
     failures = [f for r in results for f in r[3]]
     witness = {
-        "boards": len(tasks),
+        "boards": len(results),
         "automorphisms": total,
         "realized": realized,
         "oracle_confirmed": confirmed,
@@ -482,30 +484,15 @@ def _examples_check_graph(g, cap):
     return len(rows), mismatches
 
 
-def _examples_worker(task):
-    n, edges, cap = task
-    return _examples_check_graph(Graph(range(1, n + 1), edges), cap)
-
-
 def verify_examples_agreement(max_n=7, cap=puzzle.DEFAULT_CAP, jobs=None):
     """Compare every applicable closed-form verdict against brute-force
     feasibility over the exhaustive connected catalog up to max_n."""
-    from .catalog import connected_graphs
-
     t0 = time.perf_counter()
-    tasks = []
-    for n in range(1, max_n + 1):
-        for g in connected_graphs(n):
-            tasks.append((n, tuple(g.edges()), cap))
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_examples_worker, tasks, chunksize=8))
-    else:
-        results = [_examples_worker(t) for t in tasks]
+    results = _over_connected_boards(_examples_check_graph, max_n, cap, jobs)
     instances = sum(r[0] for r in results)
     mismatches = [m for r in results for m in r[1]]
     witness = {
-        "boards": len(tasks),
+        "boards": len(results),
         "instances": instances,
         "mismatches": mismatches[:10],
     }

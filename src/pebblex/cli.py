@@ -23,16 +23,8 @@ import os
 import sys
 import time
 
-from . import catalog, classify, names, puzzle, squares
-from .errors import (
-    CapExceededError,
-    FlipError,
-    GraphParseError,
-    IllegalMoveError,
-    PuzzleError,
-    RealizationError,
-    SynthesisError,
-)
+from . import catalog, classify, puzzle, squares
+from .errors import CapExceededError, GraphParseError, PuzzleError
 from .flips import (
     flip_sequence_permutation,
     format_flip_sequence,
@@ -40,6 +32,7 @@ from .flips import (
     realize_by_flips,
 )
 from .graphs import relabel_dense
+from .names import graph_from_desc
 from .perms import automorphism_count, automorphisms_dict, cycle_notation, parse_perm
 from .puzzle import Puz
 
@@ -48,10 +41,6 @@ _PRODUCT_PAIRS = (("p2", "p2"), ("p2", "p3"), ("p2", "p4"), ("p2", "c3"), ("p3",
 # smaller --max-n would check nothing and still report a positive verdict
 _SWEEP_SIZES = {"prop2": (3, 8), "examples": (1, 7), "lemma-square": (1, 12),
                 "lemma-flips": (1, 7)}
-
-
-def _graph(desc):
-    return names.graph_from_desc(desc)
 
 
 def _text_arg(raw):
@@ -99,7 +88,7 @@ def _write_out(path, text):
 
 
 def _cmd_aut(args):
-    g = _graph(args.graph)
+    g = graph_from_desc(args.graph)
     report = {"instance": args.graph}
     if args.elements:
         auts = automorphisms_dict(g)
@@ -113,7 +102,7 @@ def _cmd_aut(args):
 
 
 def _cmd_peb(args):
-    g = relabel_dense(_graph(args.graph))
+    g = relabel_dense(graph_from_desc(args.graph))
     group, aut_order, states = puzzle.exchange_group_counts(g, cap=args.cap)
     report = {
         "instance": args.graph,
@@ -127,8 +116,8 @@ def _cmd_peb(args):
 
 
 def _cmd_feasible(args):
-    board = _graph(args.board)
-    pebbles = _graph(args.pebbles)
+    board = graph_from_desc(args.board)
+    pebbles = graph_from_desc(args.pebbles)
     family, verdict = classify.classify_instance(board, pebbles)
     report = {
         "instance": f"board={args.board} pebbles={args.pebbles}",
@@ -156,7 +145,7 @@ def _cmd_feasible(args):
 
 
 def _cmd_equivalent(args):
-    pz = Puz(_graph(args.board), _graph(args.pebbles))
+    pz = Puz(graph_from_desc(args.board), graph_from_desc(args.pebbles))
     f1 = _config_arg(getattr(args, "from"), pz)
     f2 = _config_arg(args.to, pz)
     verdict = puzzle.equivalent(pz, f1, f2, cap=args.cap)
@@ -169,7 +158,7 @@ def _cmd_equivalent(args):
 
 
 def _cmd_flips(args):
-    g = _graph(args.graph)
+    g = graph_from_desc(args.graph)
     sigma = _perm_arg(args.perm, g.n)
     seq = realize_by_flips(g, sigma)
     if args.out:
@@ -185,7 +174,7 @@ def _cmd_flips(args):
 
 
 def _cmd_replay_flips(args):
-    g = _graph(args.graph)
+    g = graph_from_desc(args.graph)
     if not g.is_dense_labeled():  # the report gives a tuple over 1..n
         raise ValueError("needs a densely labeled graph")
     with open(args.cert) as fh:
@@ -214,7 +203,7 @@ def _cmd_reverse_square(args):
 
 
 def _cmd_compile_square(args):
-    g = _graph(args.graph)
+    g = graph_from_desc(args.graph)
     sigma = _perm_arg(args.perm, g.n)
     cert = squares.compile_automorphism_to_square_moves(
         g, sigma, board_desc=args.graph.strip() + "^2"
@@ -245,8 +234,8 @@ def _cmd_replay(args):
 
 
 def _cmd_classify(args):
-    board = _graph(args.board)
-    pebbles = _graph(args.pebbles)
+    board = graph_from_desc(args.board)
+    pebbles = graph_from_desc(args.pebbles)
     family, verdict = classify.classify_instance(board, pebbles)
     report = {
         "instance": f"board={args.board} pebbles={args.pebbles}",
@@ -267,7 +256,7 @@ def _cmd_verify(args):
     if suite == "prop2":
         if args.graph:
             reports.append(
-                classify.verify_prop2(_graph(args.graph), cap=args.cap, label=args.graph)
+                classify.verify_prop2(graph_from_desc(args.graph), cap=args.cap, label=args.graph)
             )
         else:
             for n in range(first, top + 1):
@@ -284,7 +273,7 @@ def _cmd_verify(args):
         for a, b in pairs:
             reports.append(
                 classify.verify_product_theorem(
-                    _graph(a), _graph(b), cap=args.cap, label=f"{a} x {b}"
+                    graph_from_desc(a), graph_from_desc(b), cap=args.cap, label=f"{a} x {b}"
                 )
             )
     elif suite == "examples":
@@ -414,9 +403,6 @@ def main(argv=None):
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IllegalMoveError, FlipError, RealizationError, SynthesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PuzzleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,12 +6,25 @@ to end.  On the self-puzzle of a connected graph every automorphism can be
 produced by some flip sequence starting from the identity; ``realize_by_flips``
 builds such a sequence constructively.
 
-The construction is recursive.  Every internal step that relies on a
-structural fact (a map being an automorphism, a subgraph being connected, a
-vertex set forming a cycle) re-checks that fact at runtime, and every
-recursive return value is replayed on its own graph before being used, so a
-bug or an unexpected instance surfaces as RealizationError rather than as a
-silently wrong sequence.
+The construction is recursive.  ``_realize`` takes sig on a connected
+working graph and picks one case:
+
+- composite order: sig is a product of two powers of prime-power order;
+- fixed point: drop a fixed vertex, or swap the components it cuts off;
+- spanning cycle: the translates of a shortest x -> sig(x) path form a
+  cycle through every vertex, and sig is two reflections of it;
+- quotient split: the translates span but x's orbit is shorter than the
+  order of sig, so sig is a lift times a twist of smaller order;
+- tails: the translates miss vertices; grow them by a farthest tail, then
+  split off what is still missing, split the quotient or reflect.
+
+Every internal step that relies on a structural fact (a map being an
+automorphism, a subgraph being connected, a vertex set forming a cycle)
+re-checks that fact at runtime, and every recursive return value is
+replayed on its own graph before being used, so a bug or an unexpected
+instance surfaces as RealizationError rather than as a silently wrong
+sequence.  Public replays and internal ones make each flip through the one
+check, ``_flip_in_place``.
 
 Sequence composition convention: concatenating S_a followed by S_b realizes
 the product a*b that applies b first.  Replaying a sequence after a prefix
@@ -23,13 +36,8 @@ that do (each case states why, and the replay validators enforce it).
 from __future__ import annotations
 
 import math
-from collections import deque
 
-from .errors import (
-    BoardPathError,
-    PebblePathError,
-    RealizationError,
-)
+from .errors import BoardPathError, FlipError, PebblePathError, RealizationError
 from .graphs import (
     Graph,
     components,
@@ -54,21 +62,36 @@ DEFAULT_FLIP_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# applying flips to puzzle configurations (public, tuple-based)
+# applying flips: one check, on a dict from each board vertex to its pebble;
+# the public functions read a tuple configuration in board-vertex order
 
-def _check_board_path(g, path):
+def _flip_in_place(board, pebbles, cfg, path):
+    """Reverse the pebbles of cfg along path, after checking that path is a
+    path on the board (else BoardPathError) and that its pebbles form a path
+    in the pebble graph (else PebblePathError)."""
+    path = tuple(path)
     if len(path) < 2:
         raise BoardPathError("a flip path needs at least two vertices")
     if len(set(path)) != len(path):
         raise BoardPathError(f"flip path {path} repeats a vertex")
-    for v in path:
-        if not g.has_vertex(v):
-            raise BoardPathError(f"flip path names missing vertex {v}")
     for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
+        if not board.has_edge(a, b):
+            # an edge check fails on a missing vertex too; name that first
+            for v in path:
+                if not board.has_vertex(v):
+                    raise BoardPathError(f"flip path names missing vertex {v}")
             raise BoardPathError(
                 f"board vertices {a} and {b} in flip path are not adjacent"
             )
+    pebs = [cfg[v] for v in path]
+    for a, b in zip(pebs, pebs[1:]):
+        if not pebbles.has_edge(a, b):
+            raise PebblePathError(
+                f"pebbles {a} and {b} along flip path {path} are not "
+                f"adjacent in the pebble graph"
+            )
+    for v, p in zip(path, reversed(pebs)):
+        cfg[v] = p
 
 
 def apply_flip(puz, config, path):
@@ -78,28 +101,17 @@ def apply_flip(puz, config, path):
     pebbles on it must form a path in the pebble graph (else
     PebblePathError).
     """
-    path = tuple(path)
-    _check_board_path(puz.board, path)
-    idxs = [puz.board.index_of(v) for v in path]
-    pebs = [config[i] for i in idxs]
-    for a, b in zip(pebs, pebs[1:]):
-        if not puz.pebbles.has_edge(a, b):
-            raise PebblePathError(
-                f"pebbles {a} and {b} along flip path {path} are not "
-                f"adjacent in the pebble graph"
-            )
-    out = list(config)
-    for i, p in zip(idxs, reversed(pebs)):
-        out[i] = p
-    return tuple(out)
+    cfg = dict(zip(puz.board.vertices, config))
+    _flip_in_place(puz.board, puz.pebbles, cfg, path)
+    return tuple(cfg.values())
 
 
 def replay_flips(puz, start, flips):
     """Apply a flip list from ``start``; returns the final configuration."""
-    cfg = check_configuration(puz, start)
+    cfg = dict(zip(puz.board.vertices, check_configuration(puz, start)))
     for fl in flips:
-        cfg = apply_flip(puz, cfg, fl)
-    return cfg
+        _flip_in_place(puz.board, puz.pebbles, cfg, fl)
+    return tuple(cfg.values())
 
 
 def flip_sequence_permutation(g, flips):
@@ -208,28 +220,16 @@ def flip_bfs_witness(g, sigma, cap=DEFAULT_FLIP_CAP):
 # labels keep their host-graph names, so sequences lift verbatim; the
 # permutations are perms' dict form
 
-def _apply_flip_dict(g, cfg, path, where):
-    if len(path) < 2 or len(set(path)) != len(path):
-        raise RealizationError(f"{where}: malformed flip path {path}")
-    for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
-            raise RealizationError(
-                f"{where}: flip path {path} leaves the board at ({a},{b})"
-            )
-    pebs = [cfg[v] for v in path]
-    for a, b in zip(pebs, pebs[1:]):
-        if not g.has_edge(a, b):
-            raise RealizationError(
-                f"{where}: pebbles {a},{b} along {path} are not adjacent"
-            )
-    for v, p in zip(path, reversed(pebs)):
-        cfg[v] = p
-
-
 def _replay_dict(g, flips, where):
+    """The permutation flips realize from the identity on g's self-puzzle;
+    an illegal flip is a construction failure, so it raises
+    RealizationError."""
     cfg = {v: v for v in g.vertices}
-    for fl in flips:
-        _apply_flip_dict(g, cfg, fl, where)
+    try:
+        for fl in flips:
+            _flip_in_place(g, g, cfg, fl)
+    except FlipError as exc:
+        raise RealizationError(f"internal: {where}: {exc}")
     return cfg
 
 
@@ -312,10 +312,13 @@ def _realize(g, sig, depth):
     if len(fac) > 1:
         flips = _split_composite(g, sig, ordr, fac, depth)
     else:
+        # sig^e has the order of sig, and sig is (sig^e)^k for k = 1/e mod ordr
         sigp, e, x, d, m = _select_dict(g, sig)
-        base = _case_analysis(g, sigp, x, d, m, depth)
-        k = pow(e, -1, ordr)
-        flips = base * k
+        if m == 1:
+            base = _case_fixed_point(g, sigp, depth)
+        else:
+            base = _case_moving(g, sigp, x, d, m, ordr, depth)
+        flips = base * pow(e, -1, ordr)
     got = _replay_dict(g, flips, "realize")
     if got != sig:
         raise RealizationError("internal: realized permutation mismatch")
@@ -342,10 +345,12 @@ def _split_composite(g, sig, ordr, fac, depth):
     return seq_r * u + seq_s * v
 
 
-def _case_analysis(g, sig, x, d, m, depth):
-    if m == 1:
-        return _case_fixed_point(g, sig, depth)
-    return _case_moving(g, sig, x, d, m, depth)
+def _swap_ends(p):
+    """Flips exchanging the pebbles on the two ends of path p and leaving
+    the rest in place: the whole path, then its interior (when that is
+    still a flip)."""
+    p = tuple(p)
+    return [p, p[1:-1]] if len(p) >= 4 else [p]
 
 
 # -- case: sig has a fixed point --------------------------------------------
@@ -364,25 +369,17 @@ def _case_fixed_point(g, sig, depth):
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     residual = dict(sig)
     swaps = []
-    while True:
-        moved = None
-        for ci, comp in enumerate(comps):
-            if comp_of[residual[comp[0]]] != ci:
-                moved = (ci, comp_of[residual[comp[0]]])
-                break
-        if moved is None:
-            break
-        ca, cb = moved
-        va, vb = set(comps[ca]), set(comps[cb])
+    for ca, comp in enumerate(comps):
+        # the components before ca are in place, so ca goes to a later one
+        cb = comp_of[residual[comp[0]]]
+        if cb == ca:
+            continue
+        va, vb = set(comp), set(comps[cb])
         inv = inverse(residual)
-        nu = {}
-        for v in g.vertices:
-            if v in va:
-                nu[v] = residual[v]
-            elif v in vb:
-                nu[v] = inv[v]
-            else:
-                nu[v] = v
+        nu = {
+            v: residual[v] if v in va else inv[v] if v in vb else v
+            for v in g.vertices
+        }
         if not is_automorphism(g, nu) or not is_identity(compose(nu, nu)):
             raise RealizationError(
                 "internal: component swap is not an involutive automorphism"
@@ -406,10 +403,10 @@ def _realize_component_swap(g, nu, x, depth):
     """nu swaps two components of g - x (setwise) and fixes the rest.
 
     Strip one far pair per round: the shortest path between a moved vertex
-    of maximal distance from x and its image runs through x, so flipping it
-    and then its interior swaps exactly that pair.  Distances are preserved
-    by nu, the removed pair is farthest-from-x in both components, and every
-    other vertex keeps a shortest path to x, so the remainder is connected.
+    of maximal distance from x and its image runs through x, so swapping
+    its ends swaps exactly that pair.  Distances are preserved by nu, the
+    removed pair is farthest-from-x in both components, and every other
+    vertex keeps a shortest path to x, so the remainder is connected.
     """
     if depth <= 0:
         raise RealizationError("recursion depth guard exceeded")
@@ -424,9 +421,7 @@ def _realize_component_swap(g, nu, x, depth):
         raise RealizationError(
             "internal: swap pair is not separated by the cut vertex"
         )
-    flips = [tuple(p)]
-    if len(p) - 2 >= 2:
-        flips.append(tuple(p[1:-1]))
+    flips = _swap_ends(p)
     rest = [v for v in g.vertices if v not in (v1, v2)]
     sub = g.induced(rest)
     if not is_connected(sub):
@@ -440,8 +435,10 @@ def _realize_component_swap(g, nu, x, depth):
 
 # -- case: no fixed point ----------------------------------------------------
 
-def _case_moving(g, sig, x, d, m, depth):
-    ordr = perm_order(sig)
+def _case_moving(g, sig, x, d, m, ordr, depth):
+    """x is a basepoint at distance d from sig(x), its orbit has m points
+    and sig has order ordr.  The translates of a shortest x-sig(x) path
+    span either all of g or only part of it."""
     pwr = [{v: v for v in g.vertices}]
     for _ in range(ordr):
         pwr.append(compose(sig, pwr[-1]))
@@ -467,13 +464,14 @@ def _case_moving(g, sig, x, d, m, depth):
         {pwr[i][v] for i in range(k, ordr, m) for v in pth}
         for k in range(m)
     ]
-    if hv == set(g.vertices):
-        if m == ordr:
-            return _spanning_cycle(g, sig, pwr, pth, d, ordr)
-        return _spanning_quotient(
-            g, sig, pwr, m, ordr, hv, he, xk, x, depth
-        )
-    return _grow_tails(g, sig, pwr, pth, d, m, ordr, hv, he, xk, x, depth)
+    if hv != set(g.vertices):
+        return _grow_tails(g, sig, pwr, pth, d, m, ordr, hv, he, xk, x, depth)
+    if m == ordr:
+        return _spanning_cycle(g, sig, pwr, pth, d, ordr)
+    return _quotient_split(
+        Graph(hv, he), sig, pwr, m, ordr, xk[m - 1] - {pwr[m - 1][x]}, xk[0],
+        depth, "quotient split",
+    )
 
 
 def _cycle_labels(g, sig, pwr, pth, d, ordr, expect_vertices):
@@ -525,28 +523,15 @@ def _spanning_cycle(g, sig, pwr, pth, d, ordr):
     return [_reflection_flip(zp, d), _reflection_flip(zp, 0)]
 
 
-def _spanning_quotient(g, sig, pwr, m, ordr, hv, he, xk, x, depth):
-    """Translates cover the graph but the basepoint orbit is a proper
-    quotient: split sig into a power supported on one residue class and a
-    twisted map of order m, both strictly simpler."""
-    h = Graph(hv, he)
+def _quotient_split(h, sig, pwr, m, ordr, moved, core, depth, where):
+    """The translates span h but the basepoint orbit is a proper quotient
+    (m < ordr): sig is a lift, sig^m on the residue class ``core`` and the
+    identity elsewhere, after a twist that steps ``moved`` back by m - 1
+    and agrees with sig on the rest.  Both factors are strictly simpler."""
     back = (1 - m) % ordr
-    xm1 = xk[m - 1] - {pwr[m - 1][x]}
-    tau = {v: (pwr[back][v] if v in xm1 else sig[v]) for v in hv}
-    x0 = xk[0]
-    glift = {v: (pwr[m][v] if v in x0 else v) for v in hv}
-    _check_pair_split(h, sig, tau, glift, m, x0, "quotient split")
-    h0 = h.induced(x0)
-    if not is_connected(h0):
-        raise RealizationError("internal: residue-class subgraph disconnected")
-    s0 = _realize(h0, {v: pwr[m][v] for v in x0}, depth - 1)
-    s1 = _realize(h, tau, depth - 1)
-    return s0 + s1
-
-
-def _check_pair_split(h, sig, tau, glift, m, x0, where):
-    vs = set(h.vertices)
-    if set(tau.values()) != vs:
+    tau = {v: (pwr[back][v] if v in moved else sig[v]) for v in h.vertices}
+    glift = {v: (pwr[m][v] if v in core else v) for v in h.vertices}
+    if set(tau.values()) != set(h.vertices):
         raise RealizationError(f"internal: {where}: twist is not a bijection")
     if not is_automorphism(h, tau):
         raise RealizationError(f"internal: {where}: twist is not a map of H")
@@ -556,83 +541,60 @@ def _check_pair_split(h, sig, tau, glift, m, x0, where):
         raise RealizationError(f"internal: {where}: lift is not a map of H")
     if compose(glift, tau) != sig:
         raise RealizationError(f"internal: {where}: split does not compose")
-    if x0 == vs:
+    if core == set(h.vertices):
         raise RealizationError(f"internal: {where}: residue class not proper")
+    h0 = h.induced(core)
+    if not is_connected(h0):
+        raise RealizationError("internal: residue-class subgraph disconnected")
+    s0 = _realize(h0, {v: pwr[m][v] for v in core}, depth - 1)
+    s1 = _realize(h, tau, depth - 1)
+    return s0 + s1
 
 
 def _grow_tails(g, sig, pwr, pth, d, m, ordr, hv, he, xk, x, depth):
     """The translates miss part of the graph: attach a farthest outside
     vertex by a shortest path and its translates, then split off what the
-    enlarged subgraph still misses, or reflect it when it spans."""
-    dist = {}
-    q = deque()
-    for v in hv:
-        dist[v] = 0
-        q.append(v)
-    while q:
-        v = q.popleft()
-        for w in g.adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                q.append(w)
+    enlarged subgraph still misses, or split or reflect it when it spans."""
+    dist = distances_from(g, *hv)
     far = max(dist.values())
     z = min(v for v in g.vertices if dist[v] == far)
     q0 = shortest_path_to_set(g, z, hv)
     if q0 is None:
         raise RealizationError("internal: no path back to the translates")
-    y0 = q0[-1]
-    shift = None
-    for jj in range(ordr):
-        for ii in range(d):
-            if pwr[jj][pth[ii]] == y0:
-                shift = pwr[(ordr - jj) % ordr]
-                break
-        if shift is not None:
-            break
-    qpath = [shift[v] for v in q0]
-    z = qpath[0]
-    y = qpath[-1]
+    # q0 ends on the translate sig^jj of one of the path's first d vertices;
+    # translate q0 back by jj
+    jj = next(j for j in range(ordr) for v in pth[:d] if pwr[j][v] == q0[-1])
+    qpath = [pwr[(ordr - jj) % ordr][v] for v in q0]
     q_edges = list(zip(qpath, qpath[1:]))
     fv = set(hv)
     fe = set(he)
     for i in range(ordr):
         fv.update(pwr[i][v] for v in qpath)
         fe.update(tuple(sorted((pwr[i][a], pwr[i][b]))) for a, b in q_edges)
-    orbit_z = _orbit(z, [sig])
-    if fv != set(g.vertices):
-        return _split_off_orbit(g, sig, fv, fe, orbit_z, depth)
     f = Graph(fv, fe)
+    orbit_z = _orbit(qpath[0], [sig])
+    if fv != set(g.vertices):
+        return _split_off_orbit(g, sig, f, orbit_z, depth)
     if not is_connected(f):
         raise RealizationError("internal: grown subgraph disconnected")
-    wk = [
-        {pwr[i][v] for i in range(k, ordr, m) for v in qpath}
-        for k in range(m)
-    ]
     if m < ordr:
-        back = (1 - m) % ordr
-        dset = (xk[m - 1] - {pwr[m - 1][x]}) | wk[m - 1]
-        tau = {v: (pwr[back][v] if v in dset else sig[v]) for v in fv}
-        core = xk[0] | wk[0]
-        glift = {v: (pwr[m][v] if v in core else v) for v in fv}
-        _check_pair_split(f, sig, tau, glift, m, core, "tail quotient split")
-        f0 = f.induced(core)
-        if not is_connected(f0):
-            raise RealizationError(
-                "internal: residue-class subgraph disconnected"
-            )
-        s0 = _realize(f0, {v: pwr[m][v] for v in core}, depth - 1)
-        s1 = _realize(f, tau, depth - 1)
-        return s0 + s1
-    return _cycle_with_tails(g, sig, pwr, pth, qpath, d, ordr, hv, f, y, depth)
+        wk = [
+            {pwr[i][v] for i in range(k, ordr, m) for v in qpath}
+            for k in range(m)
+        ]
+        moved = (xk[m - 1] - {pwr[m - 1][x]}) | wk[m - 1]
+        return _quotient_split(f, sig, pwr, m, ordr, moved, xk[0] | wk[0],
+                               depth, "tail quotient split")
+    return _cycle_with_tails(g, sig, pwr, pth, qpath, d, ordr, hv, f, orbit_z,
+                             depth)
 
 
-def _split_off_orbit(g, sig, fv, fe, orbit_z, depth):
+def _split_off_orbit(g, sig, f, orbit_z, depth):
     """The grown subgraph F still misses vertices.  sig factors as
     (sig on F) * (sig^-1 on F minus the far orbit) * (sig off that orbit):
     the first two cancel outside F, the middle and last are automorphisms of
     their graphs, and each factor lives on strictly fewer vertices."""
-    f = Graph(fv, fe)
-    fpv = fv - orbit_z
+    fpv = set(f.vertices) - orbit_z
     fp = f.induced(fpv)
     gpv = set(g.vertices) - orbit_z
     gp = g.induced(gpv)
@@ -640,7 +602,7 @@ def _split_off_orbit(g, sig, fv, fe, orbit_z, depth):
         if not is_connected(sub):
             raise RealizationError(f"internal: {name} is disconnected")
     inv = inverse(sig)
-    sig_f = {v: sig[v] for v in fv}
+    sig_f = {v: sig[v] for v in f.vertices}
     sig_fp = {v: inv[v] for v in fpv}
     sig_gp = {v: sig[v] for v in gpv}
     if not is_automorphism(f, sig_f):
@@ -662,14 +624,14 @@ def _split_off_orbit(g, sig, fv, fe, orbit_z, depth):
     )
 
 
-def _cycle_with_tails(g, sig, pwr, pth, qpath, d, ordr, hv, f, y, depth):
+def _cycle_with_tails(g, sig, pwr, pth, qpath, d, ordr, hv, f, orbit_z, depth):
     """F spans the graph: the translate cycle plus one tail per rotation
     step.  sig is a rotation of that picture, hence the product of two
     reflections; each reflection swaps tails wholesale and reflects the
     cycle, and is realized by pairwise tail-end swaps plus recursion."""
     zp = _cycle_labels(g, sig, pwr, pth, d, ordr, hv)
     r = len(zp)
-    i0 = zp.index(y)
+    i0 = zp.index(qpath[-1])
     zlab = [zp[(t + i0) % r] for t in range(r)]
     s = len(qpath) - 1
     wgrid = [[pwr[i][qpath[j]] for j in range(s + 1)] for i in range(ordr)]
@@ -700,15 +662,14 @@ def _cycle_with_tails(g, sig, pwr, pth, qpath, d, ordr, hv, f, y, depth):
     rho1, rho0 = rhos
     if compose(rho1, rho0) != sig:
         raise RealizationError("internal: reflections do not compose to sig")
-    orbit_z = _orbit(qpath[0], [sig])
     return _realize_reflection(f, rho1, orbit_z, depth) + _realize_reflection(
         f, rho0, orbit_z, depth
     )
 
 
 def _realize_reflection(f, rho, orbit_z, depth):
-    """Realize an involution that pairs up the far tail ends: swap each pair
-    by a double flip along a path avoiding already-swapped ends, then
+    """Realize an involution that pairs up the far tail ends: swap the ends
+    of a path between each pair that avoids already-swapped ends, then
     recurse on the graph without the tail ends."""
     if depth <= 0:
         raise RealizationError("recursion depth guard exceeded")
@@ -726,9 +687,7 @@ def _realize_reflection(f, rho, orbit_z, depth):
             raise RealizationError(
                 "internal: tail-end pair separated by earlier swaps"
             )
-        flips.append(tuple(rpath))
-        if len(rpath) - 2 >= 2:
-            flips.append(tuple(rpath[1:-1]))
+        flips += _swap_ends(rpath)
         dirty.update((o, partner))
     rest = set(f.vertices) - orbit_z
     subf = f.induced(rest)

@@ -62,6 +62,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not slot by slot
+        return (Graph, (self.vertices, self.edges()))
+
     @property
     def n(self):
         return len(self.vertices)
@@ -219,10 +223,11 @@ def format_graph(g):
 # ---------------------------------------------------------------------------
 # distances and girth
 
-def distances_from(g, s):
-    """BFS distance dict from s; unreachable vertices are absent."""
-    dist = {s: 0}
-    q = deque([s])
+def distances_from(g, s, *more):
+    """BFS distance dict from s, or from the nearest of s and more (each
+    source at distance 0); unreachable vertices are absent."""
+    dist = dict.fromkeys((s, *more), 0)
+    q = deque(dist)
     while q:
         v = q.popleft()
         for w in g.adj[v]:

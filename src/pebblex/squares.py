@@ -92,16 +92,6 @@ class MoveCertificate:
         return self
 
 
-@dataclass(frozen=True)
-class SubPuzzleEmbedding:
-    """How a sub-certificate was placed into a host: vertex and pebble
-    renamings plus the orientation its moves were replayed in."""
-
-    board_map: dict
-    pebble_map: dict
-    direction: str  # "forward" or "reversed"
-
-
 def embed_subsequence(host, host_cfg, sub, board_map, pebble_map, where=""):
     """Replay a sub-certificate inside a host puzzle under renamings.
 
@@ -109,7 +99,8 @@ def embed_subsequence(host, host_cfg, sub, board_map, pebble_map, where=""):
     replayed in order) or like the sub end (moves are replayed backwards;
     each move is its own inverse, so that walks end back to start).  Each
     renamed move is validated by the host's own move rule, and the region
-    is checked again after the replay.  Returns (new_cfg, moves, embedding).
+    is checked again after the replay.  Returns (new_cfg, moves, direction),
+    direction being "forward" or "reversed".
     """
     sub_board = sub.puz.board.vertices
     sub_idx = {v: i for i, v in enumerate(sub_board)}
@@ -144,8 +135,7 @@ def embed_subsequence(host, host_cfg, sub, board_map, pebble_map, where=""):
         out.append(mv)
     if not region_matches(cfg, target):
         raise SynthesisError(f"{where}: region mismatch after replay")
-    return (tuple(cfg), out,
-            SubPuzzleEmbedding(dict(board_map), dict(pebble_map), direction))
+    return tuple(cfg), out, direction
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +348,13 @@ def compile_automorphism_to_square_moves(g, sigma, board_desc=None):
     for fl in flips:
         k = len(fl)
         pebbles = tuple(cfg[host.board.index_of(v)] for v in fl)
-        cfg, mv, emb = embed_subsequence(
+        cfg, mv, direction = embed_subsequence(
             host, cfg, _dense_a(k),
             {i: fl[i - 1] for i in range(1, k + 1)},
             {i: pebbles[i - 1] for i in range(1, k + 1)},
             where=f"flip {fl}",
         )
-        if emb.direction != "forward":
+        if direction != "forward":
             raise SynthesisError(f"flip {fl}: expected a forward placement")
         moves += mv
     if cfg != sigma:

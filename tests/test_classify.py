@@ -14,6 +14,8 @@ from pebblex import (
     kms_feasible,
     multipartite_feasible,
     pebble_family,
+    verify_examples_agreement,
+    verify_flip_lemma,
     verify_parity_example,
     verify_product_theorem,
     verify_prop2,
@@ -317,3 +319,13 @@ def test_predicates_match_bfs_small():
             instances += done
             assert bad == []
     assert instances > 50
+
+
+@pytest.mark.parametrize("sweep", [verify_flip_lemma, verify_examples_agreement])
+def test_sweeps_give_the_same_report_with_two_processes(sweep):
+    # the boards themselves go to the worker processes, pickled
+    serial = sweep(max_n=6)
+    pooled = sweep(max_n=6, jobs=2)
+    del serial["elapsed_ms"], pooled["elapsed_ms"]
+    assert pooled == serial
+    assert serial["verdict"] is True and serial["witness"]["boards"] == 143

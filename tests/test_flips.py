@@ -84,6 +84,22 @@ def test_apply_flip_rejects_non_path_pebbles():
     assert apply_flip(pz, (2, 1, 3), (1, 2, 3)) == (3, 1, 2)
 
 
+def test_internal_replay_reports_an_illegal_flip_as_a_realization_error():
+    # the realizer replays through the public flip check; a flip that check
+    # refuses is a construction failure, named with the replaying step
+    with pytest.raises(
+        RealizationError,
+        match=r"^internal: reflection: board vertices 1 and 3 in flip path "
+        r"are not adjacent$",
+    ):
+        flips._replay_dict(path(3), [(1, 2), (1, 3)], "reflection")
+    with pytest.raises(
+        RealizationError,
+        match=r"^internal: realize: pebbles 1 and 3 along flip path \(1, 2, 3\)",
+    ):
+        flips._replay_dict(path(3), [(2, 3), (1, 2, 3)], "realize")
+
+
 def test_replay_flips_composes_left_to_right():
     pz = puz_on(path(4))
     start = identity_configuration(pz)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -35,6 +37,8 @@ from pebblex.graphs import (
     star,
     theta_122,
 )
+from pebblex.puzzle import Puz
+from pebblex.squares import compile_automorphism_to_square_moves
 
 
 def lucas(n):
@@ -72,6 +76,24 @@ def test_graph_is_immutable():
     g = path(3)
     with pytest.raises(AttributeError):
         g.vertices = (1,)
+
+
+def test_graphs_pickle_and_copy():
+    # pickle and copy rebuild a graph through its constructor, so it stays
+    # immutable; a gapped subgraph, a puzzle and a certificate round-trip
+    g = cycle(6).induced([1, 2, 3, 5])
+    for dup in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert dup == g and dup.vertices == (1, 2, 3, 5) and dup.m == 2
+        assert dup.index_of(5) == 3 and dup.edges() == ((1, 2), (2, 3))
+        with pytest.raises(AttributeError):
+            dup.vertices = (1,)
+    puz = Puz(path(4), star(3))
+    assert pickle.loads(pickle.dumps(puz)) == puz
+    cert = compile_automorphism_to_square_moves(
+        cycle(5), (2, 3, 4, 5, 1), board_desc="c5"
+    )
+    back = pickle.loads(pickle.dumps(cert))
+    assert back == cert and back.validate() is back
 
 
 def test_parse_format_round_trip():
@@ -152,6 +174,7 @@ def test_distances():
     d = distances_from(g, 1)
     assert d[4] == 3 and d[2] == 1 and d[1] == 0
     assert distances_from(g, 2)[5] == 3
+    assert distances_from(g, 1, 4) == {1: 0, 4: 0, 2: 1, 6: 1, 3: 1, 5: 1}
     assert 2 not in distances_from(Graph([1, 2]), 1)  # unreachable: absent
     p = shortest_path(path(5), 1, 5)
     assert p == [1, 2, 3, 4, 5]

@@ -1,7 +1,7 @@
 """Every top-level function and class of the package is exported from
 ``pebblex/__init__.py`` or used by package code: a helper that only tests
 call is dead weight and gets deleted, with its tests moved to what it
-stood for."""
+stood for.  Likewise every module-level import is used by its module."""
 
 import ast
 import collections
@@ -45,6 +45,30 @@ def _unused():
                 if elsewhere == 0 and (module, node.name) not in TEST_ONLY:
                     out.append(f"{module}.{node.name}")
     return out
+
+
+def _unused_imports():
+    """Names bound by a module-level import that their module never reads;
+    ``__init__.py`` imports to re-export, so it is left out."""
+    out = []
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        out.append(f"{path.stem}.{name}")
+    return sorted(out)
+
+
+def test_every_module_level_import_is_used():
+    assert _unused_imports() == []
 
 
 def test_every_top_level_helper_is_exported_or_used():
