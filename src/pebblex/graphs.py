@@ -226,8 +226,11 @@ def format_graph(g):
 def distances_from(g, s, *more):
     """BFS distance dict from s, or from the nearest of s and more (each
     source at distance 0); unreachable vertices are absent."""
-    dist = dict.fromkeys((s, *more), 0)
-    q = deque(dist)
+    dist = {s: 0}
+    q = deque([s])
+    for t in more:
+        dist[t] = 0
+        q.append(t)
     while q:
         v = q.popleft()
         for w in g.adj[v]:
