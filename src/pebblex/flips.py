@@ -97,11 +97,11 @@ def _flip_in_place(board, pebbles, cfg, path):
 def apply_flip(puz, config, path):
     """Reverse the pebbles along a board path.
 
-    The path must be a path on the board (else BoardPathError) and the
-    pebbles on it must form a path in the pebble graph (else
-    PebblePathError).
+    ``config`` must arrange the pebbles (else PuzzleError), ``path`` must
+    be a board path (else BoardPathError) and its pebbles must form a path
+    in the pebble graph (else PebblePathError).
     """
-    cfg = dict(zip(puz.board.vertices, config))
+    cfg = dict(zip(puz.board.vertices, check_configuration(puz, config)))
     _flip_in_place(puz.board, puz.pebbles, cfg, path)
     return tuple(cfg.values())
 

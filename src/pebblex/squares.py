@@ -384,8 +384,23 @@ def format_certificate(cert):
     lines.append(" ".join(str(p) for p in cert.start))
     lines.append(" ".join(str(p) for p in cert.end))
     lines.append(str(len(cert.moves)))
-    lines.extend(f"{a} {b}" for a, b in cert.moves)
+    move_text = {mv: f"{mv[0]} {mv[1]}" for mv in set(cert.moves)}
+    lines.extend([move_text[mv] for mv in cert.moves])
     return "\n".join(lines) + "\n"
+
+
+def _move_line(no, raw):
+    """Line ``no`` after the move count, read once per distinct text: None
+    if blank or a comment, else its move pair or the error naming it."""
+    ps = raw.split()
+    if not ps or ps[0].startswith("#"):
+        return None
+    if len(ps) != 2:
+        return f"line {no}: move line must be 'x1 x2'"
+    try:
+        return (int(ps[0]), int(ps[1]))
+    except ValueError:
+        return f"line {no}: move line must be two integers"
 
 
 def parse_certificate(text, provenance="file"):
@@ -396,11 +411,17 @@ def parse_certificate(text, provenance="file"):
     """
     from .names import graph_from_desc
 
-    lines = [
-        (no, ln.strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines, moves, seen = [], [], {}
+    for no, raw in enumerate(text.splitlines(), start=1):
+        if len(lines) == 4:
+            try:
+                mv = seen[raw]
+            except KeyError:
+                mv = seen[raw] = _move_line(no, raw)
+            if mv is not None:
+                moves.append(mv)
+        elif raw.strip() and not raw.strip().startswith("#"):
+            lines.append((no, raw.strip()))
     if len(lines) < 4:
         raise ValueError("line 1: certificate needs at least four lines")
     no, head = lines[0]
@@ -437,19 +458,13 @@ def parse_certificate(text, provenance="file"):
         k = int(cnt)
     except ValueError:
         raise ValueError(f"line {no}: move count must be an integer")
-    if k < 0 or len(lines) - 4 != k:
+    if k < 0 or len(moves) != k:
         raise ValueError(
-            f"line {no}: declared {k} moves but found {len(lines) - 4}"
+            f"line {no}: declared {k} moves but found {len(moves)}"
         )
-    moves = []
-    for no, ln in lines[4:]:
-        ps = ln.split()
-        if len(ps) != 2:
-            raise ValueError(f"line {no}: move line must be 'x1 x2'")
-        try:
-            moves.append((int(ps[0]), int(ps[1])))
-        except ValueError:
-            raise ValueError(f"line {no}: move line must be two integers")
+    for mv in seen.values():  # first occurrences, in file order
+        if isinstance(mv, str):
+            raise ValueError(mv)
     return MoveCertificate(
         puz, start, end, tuple(moves),
         board_desc=parts["board"], pebbles_desc=parts["pebbles"],

@@ -12,6 +12,7 @@ from pebblex import (
     CapExceededError,
     Graph,
     PebblePathError,
+    PuzzleError,
     RealizationError,
     all_flip_paths,
     apply_flip,
@@ -82,6 +83,15 @@ def test_apply_flip_rejects_non_path_pebbles():
         apply_flip(pz, (1, 2, 3), (2, 3))
     # but the same flip works once the center pebble sits in the middle
     assert apply_flip(pz, (2, 1, 3), (1, 2, 3)) == (3, 1, 2)
+
+
+@pytest.mark.parametrize("config,flip", [
+    ((1, 2), (1, 2)),  # one pebble short of the board
+    ((1, 2), (2, 3)),  # the flip reaches the vertex with no pebble
+])
+def test_apply_flip_checks_its_configuration(config, flip):
+    with pytest.raises(PuzzleError, match="not an arrangement of the pebbles"):
+        apply_flip(puz_on(path(3)), config, flip)
 
 
 def test_internal_replay_reports_an_illegal_flip_as_a_realization_error():

@@ -266,6 +266,17 @@ def test_parse_certificate_reports_line_numbers():
     lines[4] = lines[4] + " 9"  # first move line gains a third token
     with pytest.raises(ValueError, match="line 5"):
         parse_certificate("\n".join(lines) + "\n")
+    # a malformed copy of a move line seen many times names its own line
+    lines = format_certificate(seq_A(6)).splitlines()
+    last = max(i for i, ln in enumerate(lines) if ln == "4 5")
+    assert lines.count("4 5") > 5
+    lines[last] = "4 x"
+    with pytest.raises(ValueError, match=f"^line {last + 1}: move line must be two integers$"):
+        parse_certificate("\n".join(lines) + "\n")
+    # a wrong move count is reported before a malformed move line
+    lines[3] = "48"
+    with pytest.raises(ValueError, match="^line 4: declared 48 moves but found 49$"):
+        parse_certificate("\n".join(lines) + "\n")
 
 
 def test_certificate_validate_rejects_wrong_end():
