@@ -1,7 +1,7 @@
 """Property tests for the text parsers: arbitrary input ends in a documented
 error, and every formatted value parses back to itself, certificates
-included.  Also the property
-that transposing a move sequence twice gives it back.
+included.  Also the property that transposing a move sequence twice gives
+it back.
 
 Derandomized and without an example database, so each run tries the same
 inputs.  Hypothesis still caches source constants and Unicode tables, at

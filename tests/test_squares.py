@@ -270,8 +270,9 @@ def test_parse_certificate_reports_line_numbers():
     lines = format_certificate(seq_A(6)).splitlines()
     last = max(i for i, ln in enumerate(lines) if ln == "4 5")
     assert lines.count("4 5") > 5
-    lines[last] = "4 x"
-    with pytest.raises(ValueError, match=f"^line {last + 1}: move line must be two integers$"):
+    lines[last] = "4 5x"
+    with pytest.raises(
+            ValueError, match=f"^line {last + 1}: move line must be two integers$"):
         parse_certificate("\n".join(lines) + "\n")
     # a wrong move count is reported before a malformed move line
     lines[3] = "48"
