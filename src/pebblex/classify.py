@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import puzzle, squares
 from .errors import PuzzleError
-from .flips import flip_reachable_set, realize_by_flips
+from .flips import DEFAULT_FLIP_CAP, _flip_bfs, realize_by_flips
 from .graphs import (
     cartesian_product,
     complement,
@@ -247,17 +247,18 @@ def verify_prop2(g, cap=puzzle.DEFAULT_CAP, label=None):
     t0 = time.perf_counter()
     g = relabel_dense(g)
     oracle = girth5_reachable_oracle(g)
-    reach = puzzle.reachable_set(puzzle.puz_on(g), cap=cap)
-    peb = [a for a in automorphisms(g) if a in reach]
-    ident = tuple(g.vertices)
-    verdict = reach == oracle and peb == [ident]
-    witness = {"matching_configs": len(oracle), "reachable": len(reach)}
+    search = puzzle._search(puzzle.puz_on(g), None, cap)
+    peb = search.reached(automorphisms(g))
+    # equal sizes, and every oracle configuration reached: equal sets
+    same = search.count == len(oracle) == len(search.reached(oracle))
+    verdict = same and peb == [tuple(g.vertices)]
+    witness = {"matching_configs": len(oracle), "reachable": search.count}
     return _report(
         label or f"self-puzzle on {g.n} vertices, {g.m} edges",
         verdict,
         "matching-configurations",
         witness,
-        len(reach),
+        search.count,
         len(peb),
         t0,
     )
@@ -274,8 +275,8 @@ def verify_product_theorem(g1, g2, cap=puzzle.DEFAULT_CAP, label=None):
 
     peb1 = puzzle.pebble_exchange_group(g1, cap=cap)
     peb2 = puzzle.pebble_exchange_group(g2, cap=cap)
-    reach = puzzle.reachable_set(puzzle.puz_on(prod), cap=cap)
-    peb_prod = {a for a in automorphisms(prod) if a in reach}
+    group, _, states = puzzle.exchange_group_counts(prod, cap=cap)
+    peb_prod = set(group.elements)
 
     predicted = set()
     for s in peb1.elements:
@@ -309,16 +310,16 @@ def verify_product_theorem(g1, g2, cap=puzzle.DEFAULT_CAP, label=None):
         verdict,
         "factor-product",
         witness,
-        len(reach),
+        states,
         len(peb_prod),
         t0,
     )
 
 
-def verify_square_lemma(max_n=12, bfs_max_n=7, via="recursive"):
+def verify_square_lemma(max_n=12, bfs_max_n=7, via="recursive", cap=puzzle.DEFAULT_CAP):
     """Build the reversal certificate on every squared path up to max_n,
     replay each one, and confirm the endpoint by brute-force search up
-    to bfs_max_n vertices."""
+    to bfs_max_n vertices, each search capped at ``cap`` states."""
     t0 = time.perf_counter()
     failures = []
     total_moves = 0
@@ -336,9 +337,9 @@ def verify_square_lemma(max_n=12, bfs_max_n=7, via="recursive"):
         if len(cert.moves) != squares.sequence_length(n):
             failures.append({"n": n, "error": "length formula mismatch"})
         if n <= bfs_max_n:
-            reach = puzzle.reachable_set(cert.puz)
-            bfs_states += len(reach)
-            if cert.end not in reach:
+            search = puzzle._search(cert.puz, None, cap)
+            bfs_states += search.count
+            if not search.reached([cert.end]):
                 failures.append({"n": n, "error": "endpoint not reachable by BFS"})
     witness = {
         "max_n": max_n,
@@ -373,7 +374,8 @@ def _over_connected_boards(worker, max_n, arg, jobs):
 def _flip_worker(g, oracle_max_n):
     edges = g.edges()
     auts = automorphisms(g)
-    reach = flip_reachable_set(g) if g.n <= oracle_max_n else None
+    reach = (set(_flip_bfs(g, None, DEFAULT_FLIP_CAP).reached(auts))
+             if g.n <= oracle_max_n else None)
     realized = 0
     confirmed = 0
     fails = []

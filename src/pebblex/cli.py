@@ -283,7 +283,7 @@ def _cmd_verify(args):
             )
         )
     elif suite == "lemma-square":
-        reports.append(classify.verify_square_lemma(max_n=top))
+        reports.append(classify.verify_square_lemma(max_n=top, cap=args.cap))
     elif suite == "lemma-flips":
         reports.append(
             classify.verify_flip_lemma(max_n=top, jobs=args.jobs)

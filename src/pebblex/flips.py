@@ -184,10 +184,10 @@ def _check_arrangement(g, sigma):
 
 def _flip_bfs(g, target, cap, witness=False):
     """Search the flip space from the identity, up to the level on which
-    ``target`` appears or to its end when target is None.  ``states()`` is
-    the frozenset of visited permutations, and with ``witness``,
-    ``moves_to(sigma)`` the flips from the identity to sigma at its first
-    discovery, or None when the search did not reach it."""
+    ``target`` appears or to its end when target is None.  ``reached(perms)``
+    keeps the permutations visited, ``states()`` builds their frozenset, and
+    with ``witness``, ``moves_to(sigma)`` gives the flips to sigma at its
+    first discovery, or None when the search did not reach it."""
     puz = puz_on(g)
     return _search(puz, identity_configuration(puz), cap, target, witness,
                    all_flip_paths(g))
@@ -202,7 +202,7 @@ def flip_bfs_oracle(g, sigma, cap=DEFAULT_FLIP_CAP):
     """Breadth-first truth: is sigma reachable from the identity by flips?
     Raises ValueError when sigma is not an arrangement of g's vertices."""
     sigma = _check_arrangement(g, sigma)
-    return _flip_bfs(g, sigma, cap).found
+    return bool(_flip_bfs(g, sigma, cap).reached([sigma]))
 
 
 def flip_bfs_witness(g, sigma, cap=DEFAULT_FLIP_CAP):

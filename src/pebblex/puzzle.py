@@ -365,17 +365,15 @@ def _ranked_levels(puz, moves, ends, cap, witness):
             seen[frontier] = True
         count += frontier.size
 
-    def trail(row):
-        r = _ranks(tables, [row])[0]
-        if not seen[r]:
-            return None
+    def trail(rows):  # of a visited row
+        r = _ranks(tables, rows)[0]
         out = []
         while parent[r] >= 0:
             out.append(via[r])
             r = parent[r]
         return out[::-1]
 
-    return count, bool(goal) and bool(seen[goal[0]]), lambda: tables.perms[seen], trail
+    return count, lambda rows: seen[_ranks(tables, rows)], lambda: tables.perms[seen], trail
 
 
 def _keys(rows):
@@ -446,7 +444,7 @@ def _packed_levels(puz, moves, ends, cap, witness):
     """
     n = puz.n
     P = _pebble_matrix(puz)
-    start, *goal = _keys(np.array(ends, dtype=np.uint8))
+    start, *goal = _keys(ends)
     levels = [np.array([start])]  # each level's keys, sorted
     frontier = levels[0]
     visits = [(frontier, None, None)]  # with a witness: keys, parent, move
@@ -454,8 +452,7 @@ def _packed_levels(puz, moves, ends, cap, witness):
     block = max(1, _BLOCK_CELLS // max(moves.A.shape[1], 1))
     while True:
         _check_cap(count, cap)
-        found = bool(goal) and not _absent(np.array(goal), levels[-1:])[0]
-        if found or not frontier.size:
+        if not frontier.size or (goal and not _absent(np.array(goal), levels[-1:])[0]):
             break
         parts = []
         for lo in range(0, frontier.size, block):
@@ -484,21 +481,17 @@ def _packed_levels(puz, moves, ends, cap, witness):
             levels.append(frontier)
         count += frontier.size
 
-    def trail(row):
-        key = _keys(np.array([row], dtype=np.uint8))[0]
-        for depth, (keys, _, _) in enumerate(visits):
-            hit = np.flatnonzero(keys == key)
-            if hit.size:
-                break
-        else:
-            return None
-        out, i = [], hit[0]
+    def trail(rows):  # of a visited row
+        key = _keys(rows)[0]
+        depth = next(d for d, (keys, _, _) in enumerate(visits) if key in keys)
+        out, i = [], np.flatnonzero(visits[depth][0] == key)[0]
         for _, parent, move in visits[depth:0:-1]:
             out.append(move[i])
             i = parent[i]
         return out[::-1]
 
-    return count, found, lambda: _rows(np.concatenate(levels), n), trail
+    return (count, lambda rows: ~_absent(_keys(rows), levels),
+            lambda: _rows(np.concatenate(levels), n), trail)
 
 
 def _engine(n):
@@ -507,8 +500,11 @@ def _engine(n):
 
 
 class _Search(NamedTuple):
+    """What one search visited.  ``reached`` asks the level loop's record,
+    its rank marks or sorted level keys; only ``states`` builds a set."""
+
     count: int  # configurations visited
-    found: bool  # the target was reached
+    reached: Callable[[list], list]  # the given configs it visited, in order
     states: Callable[[], frozenset]  # the visited configurations
     moves_to: Callable  # config -> its paths from the start, or None
 
@@ -528,23 +524,30 @@ def _search(puz, start, cap, target=None, witness=False, paths=None):
     """
     start = identity_configuration(puz) if start is None else start
     index = puz.pebbles.index_of
-    board = puz.board.index_of
-    ends = [[index(p) for p in check_configuration(puz, f)]
-            for f in (start, target) if f is not None]
+
+    def pack(configs):  # uint8 rows of pebble indexes, one per configuration
+        return np.array([[index(p) for p in check_configuration(puz, c)]
+                         for c in configs], dtype=np.uint8).reshape(-1, puz.n)
+
     moves = _moves(_edge_positions(puz), None if paths is None else
-                   [[board(v) for v in p] for p in paths])
-    count, found, rows, trail = _engine(puz.n)(puz, moves, ends, cap, witness)
+                   [[puz.board.index_of(v) for v in p] for p in paths])
+    ends = pack([f for f in (start, target) if f is not None])
+    count, contains, rows, trail = _engine(puz.n)(puz, moves, ends, cap, witness)
+
+    def reached(configs):
+        return [c for c, hit in zip(configs, contains(pack(configs))) if hit]
 
     def states():
         labels = np.array(puz.pebbles.vertices, dtype=np.int64)
         return frozenset(map(tuple, labels[rows()].tolist()))
 
     def moves_to(config):
-        got = trail([index(p) for p in config])
+        if not reached([config]):
+            return None
         names = puz.board.edges() if paths is None else paths
-        return None if got is None else [names[m] for m in got]
+        return [names[m] for m in trail(pack([config]))]
 
-    return _Search(count, found, states, moves_to)
+    return _Search(count, reached, states, moves_to)
 
 
 def reachable_set(puz, start=None, cap=DEFAULT_CAP):
@@ -563,7 +566,7 @@ def equivalent(puz, f1, f2, cap=DEFAULT_CAP):
     f2 = check_configuration(puz, f2)
     if f1 == f2:
         return True
-    return _search(puz, f1, cap, target=f2).found
+    return bool(_search(puz, f1, cap, target=f2).reached([f2]))
 
 
 def is_feasible(puz, cap=DEFAULT_CAP):
@@ -587,10 +590,7 @@ def bfs_witness(puz, start, target, cap=DEFAULT_CAP):
     Intended for small instances where an explicit move sequence is wanted
     rather than a yes/no answer.
     """
-    start = check_configuration(puz, start)
-    target = check_configuration(puz, target)
-    found = _search(puz, start, cap, target, witness=True)
-    return found.moves_to(target)
+    return _search(puz, start, cap, target, witness=True).moves_to(target)
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +599,8 @@ def bfs_witness(puz, start, target, cap=DEFAULT_CAP):
 def pebble_exchange_group(g, cap=DEFAULT_CAP):
     """Automorphisms of g reachable from the identity in the self-puzzle.
 
-    Returns a GroupSummary.  One BFS over the identity's component, then a
-    membership test per automorphism.
+    Returns a GroupSummary.  One BFS over the identity's component, whose
+    visited record is asked which automorphisms it reached; no set is built.
     """
     return exchange_group_counts(g, cap=cap)[0]
 
@@ -613,9 +613,8 @@ def exchange_group_counts(g, cap=DEFAULT_CAP):
     one automorphism search and one BFS.
     """
     auts = automorphisms(g)
-    reach = reachable_set(puz_on(g), cap=cap)
-    members = [p for p in auts if p in reach]
-    return GroupSummary.from_elements(members), len(auts), len(reach)
+    search = _search(puz_on(g), None, cap)
+    return GroupSummary.from_elements(search.reached(auts)), len(auts), search.count
 
 
 def is_peb_normal_in_aut(g, cap=DEFAULT_CAP):
@@ -628,8 +627,7 @@ def is_peb_normal_in_aut(g, cap=DEFAULT_CAP):
             f"automorphism group has {len(auts)} elements, check is capped "
             f"at 200"
         )
-    reach = reachable_set(puz_on(g), cap=cap)
-    peb = {p for p in auts if p in reach}
+    peb = set(_search(puz_on(g), None, cap).reached(auts))
     return all(
         compose(a, compose(p, inverse(a))) in peb for a in auts for p in peb
     )

@@ -22,7 +22,9 @@ from pebblex import (
     verify_square_lemma,
     wilson_feasible,
 )
+from pebblex import classify, flips, puzzle
 from pebblex.classify import NOT_APPLICABLE, _partitions_min2
+from pebblex.puzzle import exchange_group_counts, is_peb_normal_in_aut
 from pebblex.names import graph_from_desc
 
 
@@ -274,6 +276,51 @@ def test_verify_prop2_c5():
     assert r["bfs_states"] == 11
     assert r["peb_order"] == 1
     assert isinstance(r["elapsed_ms"], float)
+
+
+def test_verify_prop2_needs_the_oracle_set_itself(monkeypatch):
+    # the verdict rests on equal sizes plus every oracle configuration
+    # being reached; a same-size oracle with one configuration swapped for
+    # an unreachable one, and an oracle one short, both fail it
+    real = classify.girth5_reachable_oracle(g("c5"))
+    rotation = (2, 3, 4, 5, 1)  # no product of disjoint swaps
+    assert rotation not in real
+    dropped = sorted(real)[1:]
+    for oracle in ({*dropped, rotation}, set(dropped)):
+        monkeypatch.setattr(classify, "girth5_reachable_oracle", lambda _: oracle)
+        assert verify_prop2(g("c5"))["verdict"] is False
+    monkeypatch.undo()
+    assert verify_prop2(g("c5"))["verdict"] is True
+
+
+def test_membership_callers_build_no_set(monkeypatch):
+    # each of these asks the search which configurations it reached; none
+    # turns the visited configurations into a set
+    def reports():
+        out = [
+            exchange_group_counts(g("p5^2")), exchange_group_counts(g("q3")),
+            is_peb_normal_in_aut(g("c5")), is_peb_normal_in_aut(g("q3")),
+            verify_prop2(g("c5")), verify_product_theorem(g("p2"), g("p3")),
+            verify_square_lemma(max_n=6, bfs_max_n=5), verify_flip_lemma(max_n=5),
+        ]
+        for r in out:
+            if isinstance(r, dict):
+                del r["elapsed_ms"]
+        return out
+
+    usual = reports()
+    real = puzzle._search
+
+    def refuse():
+        raise AssertionError("the visited configurations were built as a set")
+
+    def no_states(*args, **kwargs):
+        return real(*args, **kwargs)._replace(states=refuse)
+
+    monkeypatch.setattr(puzzle, "_search", no_states)
+    monkeypatch.setattr(flips, "_search", no_states)
+    assert reports() == usual
+    assert all(r["verdict"] for r in usual[4:])
 
 
 def test_verify_prop2_rejects_short_cycles():

@@ -320,6 +320,16 @@ def test_verify_lemma_square_small(capsys):
     assert rep["verdict"] is True
 
 
+def test_verify_lemma_square_honours_the_cap(capsys):
+    # each squared path's search is capped; p4^2 (24 states) is the first
+    # to pass 10
+    code, out = run(capsys, "verify", "lemma-square", "--max-n", "6",
+                    "--cap", "10")
+    assert code == 3
+    assert out.err == "error: visited 12 configurations, cap is 10\n"
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("suite,max_n,first", [
     ("lemma-flips", "0", 1), ("lemma-square", "-2", 1), ("prop2", "2", 3),
     ("examples", "0", 1),

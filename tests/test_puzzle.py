@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -262,18 +263,50 @@ def test_pebble_exchange_group_orders(g, order):
     assert pebble_exchange_group(g).order == order
 
 
-def test_exchange_group_counts_match_the_reachable_set():
+def test_exchange_group_counts_match_the_reachable_set(packed):
     boards = [g for n in range(1, 6) for g in connected_graphs(n)]
-    boards += [square(path(6)), cycle(7), hypercube(3)]  # n = 6, 7 and 8
+    # n = 6, 7, 8 and 16: ranks, int64 keys and byte keys
+    boards += [square(path(6)), cycle(7), hypercube(3), cycle(16)]
     for g in boards:
         auts = automorphisms(g)
         reach = set().union(*_levels(puz_on(g), tuple(g.vertices)))
-        group, aut_order, states = exchange_group_counts(g)
-        assert group.elements == tuple(sorted(p for p in auts if p in reach))
-        assert (group.order, aut_order, states) == (
-            len(group.elements), len(auts), len(reach)
-        )
-        assert pebble_exchange_group(g) == group
+        for engine in (contextlib.nullcontext(), packed()):
+            with engine:
+                group, aut_order, states = exchange_group_counts(g)
+                assert pebble_exchange_group(g) == group
+            assert group.elements == tuple(sorted(p for p in auts if p in reach))
+            assert (group.order, aut_order, states) == (
+                len(group.elements), len(auts), len(reach)
+            )
+
+
+@pytest.mark.parametrize("desc, flips", [
+    ("c7", False), ("q3", False), ("p16", False), ("c6", True), ("c7", True),
+])
+def test_reached_is_membership_in_the_reachable_set(packed, desc, flips):
+    # ranks (c6, c7), int64 keys (q3, and the smaller boards with the
+    # packed loop forced) and byte keys (p16), over pebble swaps and over
+    # the flip space, with and without parents
+    from pebblex.flips import all_flip_paths
+
+    g = graph_from_desc(desc)
+    pz = puz_on(g)
+    paths = all_flip_paths(g) if flips else None
+    reach = flip_reachable_set(g) if flips else reachable_set(pz)
+    rng = random.Random(desc)
+    configs = rng.sample(sorted(reach), min(len(reach), 40))
+    configs += [tuple(rng.sample(g.vertices, g.n)) for _ in range(40)]
+    rng.shuffle(configs)
+    expected = [c for c in configs if c in reach]
+    assert 0 < len(expected) < len(configs)
+    for engine, witness in itertools.product((contextlib.nullcontext, packed), (False, True)):
+        with engine():
+            search = _p._search(pz, None, 10**7, witness=witness, paths=paths)
+        assert search.count == len(reach)
+        assert search.reached(configs) == expected
+        assert search.reached([]) == []
+        with pytest.raises(PuzzleError):
+            search.reached([g.vertices[:-1]])
 
 
 def test_hypercube_group_elements_are_involutions():
