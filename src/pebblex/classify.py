@@ -358,23 +358,23 @@ def verify_square_lemma(max_n=12, bfs_max_n=7, via="recursive", cap=puzzle.DEFAU
     )
 
 
-def _over_connected_boards(worker, max_n, arg, jobs):
-    """worker(g, arg) for every connected board up to max_n vertices, in
+def _over_connected_boards(worker, max_n, jobs, *args):
+    """worker(g, *args) for every connected board up to max_n vertices, in
     catalog order; with jobs > 1 the boards go to that many processes."""
     from .catalog import connected_graphs
 
     boards = [g for n in range(1, max_n + 1) for g in connected_graphs(n)]
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, boards, itertools.repeat(arg),
+            return list(pool.map(worker, boards, *map(itertools.repeat, args),
                                  chunksize=8))
-    return [worker(g, arg) for g in boards]
+    return [worker(g, *args) for g in boards]
 
 
-def _flip_worker(g, oracle_max_n):
+def _flip_worker(g, oracle_max_n, cap):
     edges = g.edges()
     auts = automorphisms(g)
-    reach = (set(_flip_bfs(g, None, DEFAULT_FLIP_CAP).reached(auts))
+    reach = (set(_flip_bfs(g, None, cap).reached(auts))
              if g.n <= oracle_max_n else None)
     realized = 0
     confirmed = 0
@@ -396,12 +396,13 @@ def _flip_worker(g, oracle_max_n):
     return len(auts), realized, confirmed, fails
 
 
-def verify_flip_lemma(max_n=7, oracle_max_n=6, jobs=None):
+def verify_flip_lemma(max_n=7, oracle_max_n=6, jobs=None, cap=DEFAULT_FLIP_CAP):
     """Realize every automorphism of every connected board up to max_n
     vertices as a flip sequence (each realization is replay-checked),
-    and confirm against flip-space BFS up to oracle_max_n vertices."""
+    and confirm against flip-space BFS up to oracle_max_n vertices, each
+    search capped at ``cap`` states."""
     t0 = time.perf_counter()
-    results = _over_connected_boards(_flip_worker, max_n, oracle_max_n, jobs)
+    results = _over_connected_boards(_flip_worker, max_n, jobs, oracle_max_n, cap)
     total = sum(r[0] for r in results)
     realized = sum(r[1] for r in results)
     confirmed = sum(r[2] for r in results)
@@ -490,7 +491,7 @@ def verify_examples_agreement(max_n=7, cap=puzzle.DEFAULT_CAP, jobs=None):
     """Compare every applicable closed-form verdict against brute-force
     feasibility over the exhaustive connected catalog up to max_n."""
     t0 = time.perf_counter()
-    results = _over_connected_boards(_examples_check_graph, max_n, cap, jobs)
+    results = _over_connected_boards(_examples_check_graph, max_n, jobs, cap)
     instances = sum(r[0] for r in results)
     mismatches = [m for r in results for m in r[1]]
     witness = {

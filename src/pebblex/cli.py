@@ -6,7 +6,9 @@ elapsed-time field).  Certificates are never printed, only written to
 files via --out.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict or failed
-replay, 2 usage or input-format error, 3 state cap exceeded.
+replay, 2 usage or input-format error, 3 state cap exceeded, 141 the
+reader of stdout closed it before the report was written (the shell's
+status for SIGPIPE).
 
 ``main(argv)`` may be called any number of times in one process.  It builds
 the argparse parser on its first call and reuses it for every later one;
@@ -286,7 +288,7 @@ def _cmd_verify(args):
         reports.append(classify.verify_square_lemma(max_n=top, cap=args.cap))
     elif suite == "lemma-flips":
         reports.append(
-            classify.verify_flip_lemma(max_n=top, jobs=args.jobs)
+            classify.verify_flip_lemma(max_n=top, jobs=args.jobs, cap=args.cap)
         )
     elif suite == "parity":
         reports.append(classify.verify_parity_example(cap=args.cap))
@@ -411,7 +413,16 @@ def main(argv=None):
         return 2
     if args.verb != "verify":  # each suite report carries its own time
         report["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    _emit(report, args)
+    try:  # flushed here, so a report short enough to sit in the buffer is covered
+        _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the report goes nowhere, so the flush at exit cannot
+        # raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return code
 
 

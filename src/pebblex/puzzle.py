@@ -16,10 +16,13 @@ board path.  ``_search`` runs one of two level loops, chosen from the number
 of vertices n in ``_engine``:
 
 * n <= 7: states are lexicographic ranks of permutations.  A table of all
-  n! permutations and a table of the rank each one moves to under every
-  position swap are built once per n and shared by every instance.  A path
-  reversal is at most n // 2 disjoint swaps, so a child's rank is that many
-  swap-table lookups, and each level is marked in an n!-entry array.
+  n! permutations and a swap table are built once per n and shared by
+  every instance.  A swap-table entry carries both the rank a permutation
+  moves to under a position swap and the pebble pair on those two
+  positions, so a level reads legality and children from one gather of
+  swap-table rows.  A path reversal is at most n // 2 disjoint swaps, so a
+  child's rank is that many swap-table lookups, and each level is marked
+  in an n!-entry array.
 * n > 7: each configuration packs into one sortable key, an int64 under
   radix n up to 15 vertices and an n-byte string beyond.  A move undoes
   itself, so a child of level L lies on level L - 1, L or L + 1, and each
@@ -51,11 +54,12 @@ from .perms import GroupSummary, automorphisms, compose, inverse
 
 DEFAULT_CAP = 50_000_000
 
-# Rank tables cost n! * C(n,2) int32 entries: 0.4 MB at n = 7, 4.5 MB at
-# n = 8 and 52 MB at n = 9.  The limit of 7 is a choice, not a measured
-# optimum.  With the limit at 8, against the packed search below, on a
-# 2-vCPU VM (medians of 20 warm calls, one process per board):
-# reachable_count of Q3 (744 states) took 1.0 ms ranked and 3.7-4.0 ms
+# Rank tables cost n! * (C(n,2) + 1) int32 swap entries: 0.4 MB at n = 7,
+# 4.5 MB at n = 8 and 52 MB at n = 9.  An entry packs a rank shifted left
+# by 8 bits with a pebble pair code under 256, which fits int32 up to
+# n = 10.  The limit of 7 is a choice, not a measured optimum.  With the
+# limit at 8, against the packed search below, on a 2-vCPU VM (medians of
+# 20 warm calls, one process per board): reachable_count of Q3 (744 states) took 1.0 ms ranked and 3.7-4.0 ms
 # packed, and of Puz(Q3, star7) (20,160 states) 10.2-10.7 ms ranked and
 # 17.5-18.1 ms packed; but the first ranked call built the n = 8 tables in
 # 87-100 ms, and peak RSS was 38.0 MB ranked and 32.5-33.3 MB packed (31.5
@@ -178,13 +182,15 @@ def _edge_positions(puz):
 
 
 def _pebble_matrix(puz):
-    """Pebble adjacency over pebble indexes (positions in the sorted list)."""
+    """Pebble adjacency over pebble indexes (positions in the sorted list),
+    raveled: entry i * n + j, the pebble pair code, says if i and j are
+    adjacent."""
     pebbles = puz.pebbles
     P = np.zeros((puz.n, puz.n), dtype=bool)
     for u, v in pebbles.edges():
         i, j = pebbles.index_of(u), pebbles.index_of(v)
         P[i, j] = P[j, i] = True
-    return P
+    return P.ravel()
 
 
 def _radix(n):
@@ -228,14 +234,10 @@ def _moves(edges, paths=None):
     return _Moves(I, J, table[:L], table[L: L + S], table[L + S:])
 
 
-def _legal(rows, P, moves):
-    """(row, move) mask of the legal moves from rows of pebble indexes: each
-    board edge is tested once, by the pebble pair code i * n + j, then each
-    move ANDs the edges it steps on."""
-    n = len(P)
-    if n > 16:  # the codes of uint8 rows would wrap
-        rows = rows.astype(np.intp)
-    ok = P.ravel().take(rows[:, moves.I] * n + rows[:, moves.J])
+def _legal(ok, moves):
+    """(row, move) mask of the legal moves, from the (row, board edge) mask
+    of the edges whose two pebbles are adjacent: each move ANDs the edges
+    it steps on."""
     if moves.steps is None:
         return ok
     ok = np.ascontiguousarray(ok.T)  # a step then gathers whole rows
@@ -274,8 +276,9 @@ def _first_occurrences(keys):
 class _RankTables(NamedTuple):
     perms: np.ndarray  # (n!, n) uint8: every permutation of range(n), lexicographic
     keys: np.ndarray  # (n!,) int64: each row packed under radix n, ascending
-    swap: np.ndarray  # (n!, C(n,2) + 1) int32: rank of the row with two
-    # positions swapped; the last column is the rank itself
+    swap: np.ndarray  # (n!, C(n,2) + 1) int32: rank << 8 | code, the rank of
+    # the row with two positions a, b swapped and the pebble pair code
+    # d_a * n + d_b of the row itself; the last column is the rank itself
     pair: np.ndarray  # (n, n): the swap column of positions i, j (the last if i == j)
 
 
@@ -297,8 +300,8 @@ def _rank_tables(n):
         # swapping positions a and b moves digit d_b to a and d_a to b;
         # the lexicographic list is sorted by key, so a key's index is its rank
         delta = (perms[:, b].astype(np.int64) - perms[:, a]) * (radix[a] - radix[b])
-        swap[:, col] = keys.searchsorted(keys + delta)
-    swap[:, -1] = np.arange(len(perms))
+        swap[:, col] = keys.searchsorted(keys + delta) << 8 | perms[:, a] * n + perms[:, b]
+    swap[:, -1] = np.arange(len(perms)) << 8
     tables = _RankTables(perms, keys, swap, pair)
     for table in tables:  # shared by every caller in the process
         table.flags.writeable = False
@@ -314,16 +317,20 @@ def _ranks(tables, rows):
 def _ranked_levels(puz, moves, ends, cap, witness):
     """The level loop over permutation ranks, for n <= _RANKED_MAX_N.
 
-    A child's rank is one swap-table lookup per swap of its move, the
-    padding (0, 0) swaps reading the identity column.  Without a witness,
-    each level is marked in an n!-entry array and read back in rank order.
-    With one, children are taken in (frontier row, move) order, each new
-    rank keeps its first discovery with its parent rank and move index, and
-    the frontier stays in discovery order.
+    One gather of swap-table rows serves a block of the frontier: the low
+    byte of an edge's column is the pebble pair code that decides its
+    legality, and the high bits of a move's swap columns give its child's
+    rank, one lookup per swap, the padding (0, 0) swaps reading the
+    identity column.  Without a witness, each level is marked in an
+    n!-entry array and read back in rank order.  With one, children are
+    taken in (frontier row, move) order, each new rank keeps its first
+    discovery with its parent rank and move index, and the frontier stays
+    in discovery order.
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
     cols = tables.pair[moves.A, moves.B]
+    edge_cols = tables.pair[moves.I, moves.J]
     start, *goal = _ranks(tables, ends)
     seen = np.zeros(len(tables.perms), dtype=bool)
     seen[start] = True
@@ -339,14 +346,15 @@ def _ranked_levels(puz, moves, ends, cap, witness):
         level = []
         for lo in range(0, frontier.size, block):
             ranks = frontier[lo: lo + block]
-            legal = _legal(tables.perms.take(ranks, axis=0), P, moves)
+            x = tables.swap.take(ranks, axis=0)
+            legal = _legal(P.take(x.take(edge_cols, axis=1) & 255), moves)
             # each move's first swap over the whole block, the others only
             # where the move is legal
-            kids = tables.swap.take(ranks, axis=0).take(cols[0], axis=1)[legal]
+            kids = x.take(cols[0], axis=1)[legal] >> 8
             if witness or len(cols) > 1:
                 row, move = _cells(legal)
             for col in cols[1:]:
-                kids = tables.swap[kids, col[move]]
+                kids = tables.swap[kids, col[move]] >> 8
             if witness:
                 cell = np.flatnonzero(~seen[kids])
                 cell = cell[_first_occurrences(kids[cell])]
@@ -360,8 +368,7 @@ def _ranked_levels(puz, moves, ends, cap, witness):
         if witness:
             frontier = np.concatenate(level)
         else:
-            fresh[seen] = False
-            frontier = np.flatnonzero(fresh)
+            frontier = np.flatnonzero(fresh > seen)
             seen[frontier] = True
         count += frontier.size
 
@@ -458,7 +465,8 @@ def _packed_levels(puz, moves, ends, cap, witness):
         for lo in range(0, frontier.size, block):
             keys = frontier[lo: lo + block]
             rows = _rows(keys, n)
-            legal = _legal(rows, P, moves)
+            pairs = rows.astype(np.intp) if n > 16 else rows  # uint8 codes would wrap
+            legal = _legal(P.take(pairs[:, moves.I] * n + pairs[:, moves.J]), moves)
             kids = _children(keys, rows, moves, legal)
             if witness:
                 cell = _first_occurrences(kids)

@@ -330,6 +330,15 @@ def test_verify_lemma_square_honours_the_cap(capsys):
     assert out.out == ""
 
 
+def test_verify_lemma_flips_honours_the_cap(capsys):
+    # the flip space of the 2-vertex board is the first to pass 1
+    code, out = run(capsys, "verify", "lemma-flips", "--max-n", "5",
+                    "--cap", "1")
+    assert code == 3
+    assert out.err == "error: visited 2 configurations, cap is 1\n"
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("suite,max_n,first", [
     ("lemma-flips", "0", 1), ("lemma-square", "-2", 1), ("prop2", "2", 3),
     ("examples", "0", 1),
@@ -395,6 +404,23 @@ def test_output_is_deterministic(capsys):
     _, second = run(capsys, "peb", "--graph", "q2", "--elements",
                     "--no-timing")
     assert first.out == second.out
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # the report lists K7's 5,040 automorphisms, about 450 KB, well over a
+    # pipe buffer: the writer is still printing when the reader leaves
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pebblex.cli", "aut", "--graph", "k7",
+         "--elements", "--no-timing"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert "Traceback" not in err
+    assert code == 141
 
 
 def test_output_keys_sorted(capsys):

@@ -656,9 +656,26 @@ def test_int64_child_keys_step_by_the_edge_delta(n):
     moves = _p._moves(edges, paths)
     keys = _p._keys(rows)
     got = _p._children(keys, _p._rows(keys, n), moves,
-                       _p._legal(rows, P, moves))
+                       _p._legal(P.ravel().take(rows[:, moves.I] * n + rows[:, moves.J]),
+                                 moves))
     assert len(expected) > 500
     assert got.tolist() == _p._keys(np.array(expected)).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, _p._RANKED_MAX_N + 1))
+def test_a_swap_entry_packs_the_child_rank_over_the_pebble_pair_code(n):
+    tables = _p._rank_tables(n)
+    perms, swap = tables.perms, tables.swap
+    for a, b in itertools.combinations(range(n), 2):
+        col = tables.pair[a, b]
+        swapped = perms.copy()
+        swapped[:, [a, b]] = perms[:, [b, a]]
+        assert (swap[:, col] >> 8).tolist() == _p._ranks(tables, swapped).tolist()
+        assert (swap[:, col] & 255).tolist() == (perms[:, a] * n + perms[:, b]).tolist()
+    assert (swap[:, -1] >> 8).tolist() == list(range(math.factorial(n)))
+    assert not any(table.flags.writeable for table in tables)
+    # one int32 entry per (permutation, swap column): no second table
+    assert swap.nbytes == math.factorial(n) * (math.comb(n, 2) + 1) * 4
 
 
 @pytest.mark.parametrize("n", range(1, 7))
