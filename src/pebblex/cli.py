@@ -296,6 +296,17 @@ def _cmd_verify(args):
     return {"suite": suite, "verdict": verdict, "reports": reports}, 0 if verdict else 1
 
 
+def _at_least_one(text):
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sp, out=False, jobs=False):
     sp.add_argument("--cap", type=int, default=puzzle.DEFAULT_CAP,
                     help="max explored configurations before giving up")
@@ -304,7 +315,7 @@ def _add_common(sp, out=False, jobs=False):
     if out:
         sp.add_argument("--out", default=None, help="write the certificate here")
     if jobs:
-        sp.add_argument("--jobs", type=int, default=None,
+        sp.add_argument("--jobs", type=_at_least_one, default=None,
                         help="worker processes for sweep suites")
 
 

@@ -23,12 +23,15 @@ of vertices n in ``_engine``:
   swap-table rows.  A path reversal is at most n // 2 disjoint swaps, so a
   child's rank is that many swap-table lookups, and each level is marked
   in an n!-entry array.
-* n > 7: each configuration packs into one sortable key, an int64 under
-  radix n up to 15 vertices and an n-byte string beyond.  A move undoes
-  itself, so a child of level L lies on level L - 1, L or L + 1, and each
-  new level is deduplicated against the sorted keys of the two levels
-  before it only.  An int64 child key is its parent's key plus one delta
-  per swap of its move.
+* n > 7: each configuration packs into one sortable key, an int64 with 4
+  bits per position up to 15 vertices and an n-byte string beyond.  A
+  block of a level reads each board edge's pebble pair code once per
+  state, and that one gather gives both legality and the children: an
+  int64 child key is its parent's key plus one table entry per swap of its
+  move, read at the swap's pebble pair code, taken for the legal moves
+  only.  A move undoes itself, so a child of level L lies on level L - 1,
+  L or L + 1, and each new level is deduplicated against the sorted keys
+  of the two levels before it only.
 
 Both loops answer every query, and test each board edge once per state
 before each move ANDs the edges it steps on.  Only a witness query records
@@ -67,7 +70,7 @@ DEFAULT_CAP = 50_000_000
 # visit at most 20,160 states, n = 8 tables peaked 7.8% higher in memory;
 # n = 9 was not measured.
 _RANKED_MAX_N = 7
-_INT64_MAX_N = 15  # radix-n packed keys stay under 2**63 up to here
+_INT64_MAX_N = 15  # 4-bit digits: 15 positions take 60 bits of an int64 key
 
 
 @dataclass(frozen=True)
@@ -193,21 +196,24 @@ def _pebble_matrix(puz):
     return P.ravel()
 
 
-def _radix(n):
-    return n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+def _shifts(n):
+    """Bit offset of each position's 4-bit digit in an int64 key, the
+    first position's highest."""
+    return np.arange(4 * n - 4, -1, -4, dtype=np.int64)
 
 
 class _Moves(NamedTuple):
     """M board paths over positions, as arrays.  Path c is legal when the
     pebbles on each of its steps are adjacent, and it reverses them, which
-    is at most n // 2 disjoint position swaps."""
+    is at most n // 2 disjoint position swaps.  A search reads one pebble
+    pair code per pair column (I[k], J[k]) of a state: the board edges and
+    every other position pair that a move swaps."""
 
-    I: np.ndarray  # (E,) and J: the board edges as position pairs
-    J: np.ndarray
-    steps: np.ndarray  # (L, M): the board edge of each step, the last repeated;
-    # None for pebble swaps, where move c is board edge c
-    A: np.ndarray  # (S, M) and B: the swaps (A[k, c], B[k, c]), then (0, 0)
-    B: np.ndarray
+    I: np.ndarray  # (C,) and J: the pair columns; for pebble swaps, the
+    J: np.ndarray  # board edges in order
+    steps: np.ndarray  # (L, M): the column of each step's edge, the last
+    # repeated; None for pebble swaps, where move c is column c
+    swaps: np.ndarray  # (S, M): the column of each swap, then of (0, 0)
 
 
 def _moves(edges, paths=None):
@@ -215,7 +221,7 @@ def _moves(edges, paths=None):
     paths means each edge's two-vertex path, a pebble swap."""
     I, J = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     if paths is None:
-        return _Moves(I, J, None, I[None], J[None])
+        return _Moves(I, J, None, np.arange(I.size)[None])
     edge = {}
     for e, (i, j) in enumerate(edges):
         edge[i, j] = edge[j, i] = e
@@ -230,14 +236,18 @@ def _moves(edges, paths=None):
 
     table = np.fromiter(itertools.chain.from_iterable(map(row, paths)),
                         dtype=np.intp, count=len(paths) * (L + 2 * S))
-    table = table.reshape(-1, L + 2 * S).T
-    return _Moves(I, J, table[:L], table[L: L + S], table[L + S:])
+    steps, A, B = np.split(table.reshape(-1, L + 2 * S).T, [L, L + S])
+    # one pair column per distinct position pair, edge or swap (a position
+    # fits a byte); each step becomes its edge's column
+    pairs = np.concatenate([I << 8 | J, (np.minimum(A, B) << 8 | np.maximum(A, B)).ravel()])
+    pairs, column = np.unique(pairs, return_inverse=True)
+    return _Moves(pairs >> 8, pairs & 255, column[steps], column[I.size:].reshape(A.shape))
 
 
 def _legal(ok, moves):
-    """(row, move) mask of the legal moves, from the (row, board edge) mask
-    of the edges whose two pebbles are adjacent: each move ANDs the edges
-    it steps on."""
+    """(row, move) mask of the legal moves, from the (row, pair column) mask
+    of the pairs whose two pebbles are adjacent: each move ANDs the columns
+    of the edges it steps on."""
     if moves.steps is None:
         return ok
     ok = np.ascontiguousarray(ok.T)  # a step then gathers whole rows
@@ -275,7 +285,7 @@ def _first_occurrences(keys):
 
 class _RankTables(NamedTuple):
     perms: np.ndarray  # (n!, n) uint8: every permutation of range(n), lexicographic
-    keys: np.ndarray  # (n!,) int64: each row packed under radix n, ascending
+    keys: np.ndarray  # (n!,) int64: each row packed by ``_keys``, ascending
     swap: np.ndarray  # (n!, C(n,2) + 1) int32: rank << 8 | code, the rank of
     # the row with two positions a, b swapped and the pebble pair code
     # d_a * n + d_b of the row itself; the last column is the rank itself
@@ -289,8 +299,8 @@ def _rank_tables(n):
         itertools.chain.from_iterable(itertools.permutations(range(n))),
         dtype=np.uint8, count=math.factorial(n) * n,
     ).reshape(math.factorial(n), n)
-    radix = _radix(n)
-    keys = perms @ radix
+    keys = _keys(perms)
+    weight = 1 << _shifts(n)
     i, j = np.triu_indices(n, 1)
     cols = np.arange(i.size)
     pair = np.full((n, n), i.size, dtype=np.intp)
@@ -299,7 +309,7 @@ def _rank_tables(n):
     for col, a, b in zip(cols, i, j):
         # swapping positions a and b moves digit d_b to a and d_a to b;
         # the lexicographic list is sorted by key, so a key's index is its rank
-        delta = (perms[:, b].astype(np.int64) - perms[:, a]) * (radix[a] - radix[b])
+        delta = (perms[:, b].astype(np.int64) - perms[:, a]) * (weight[a] - weight[b])
         swap[:, col] = keys.searchsorted(keys + delta) << 8 | perms[:, a] * n + perms[:, b]
     swap[:, -1] = np.arange(len(perms)) << 8
     tables = _RankTables(perms, keys, swap, pair)
@@ -310,8 +320,7 @@ def _rank_tables(n):
 
 def _ranks(tables, rows):
     """Ranks of rows of pebble indexes."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return tables.keys.searchsorted(rows @ _radix(rows.shape[-1]))
+    return tables.keys.searchsorted(_keys(rows))
 
 
 def _ranked_levels(puz, moves, ends, cap, witness):
@@ -329,15 +338,15 @@ def _ranked_levels(puz, moves, ends, cap, witness):
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
-    cols = tables.pair[moves.A, moves.B]
-    edge_cols = tables.pair[moves.I, moves.J]
+    pair_cols = tables.pair[moves.I, moves.J]
+    cols = pair_cols[moves.swaps]
     start, *goal = _ranks(tables, ends)
     seen = np.zeros(len(tables.perms), dtype=bool)
     seen[start] = True
     parent, via = np.full((2, len(seen) if witness else 0), -1, dtype=np.int32)
     frontier = np.array([start])
     count = 1
-    block = max(1, _BLOCK_CELLS // max(moves.A.shape[1], 1))
+    block = max(1, _BLOCK_CELLS // max(moves.swaps.shape[1], 1))
     while True:
         _check_cap(count, cap)
         if not frontier.size or (goal and seen[goal[0]]):
@@ -347,7 +356,7 @@ def _ranked_levels(puz, moves, ends, cap, witness):
         for lo in range(0, frontier.size, block):
             ranks = frontier[lo: lo + block]
             x = tables.swap.take(ranks, axis=0)
-            legal = _legal(P.take(x.take(edge_cols, axis=1) & 255), moves)
+            legal = _legal(P.take(x.take(pair_cols, axis=1) & 255), moves)
             # each move's first swap over the whole block, the others only
             # where the move is legal
             kids = x.take(cols[0], axis=1)[legal] >> 8
@@ -384,44 +393,63 @@ def _ranked_levels(puz, moves, ends, cap, witness):
 
 
 def _keys(rows):
-    """Sortable keys of uint8 rows of pebble indexes: radix-n int64 up to
-    _INT64_MAX_N columns, n-byte strings beyond."""
+    """Sortable keys of uint8 rows of pebble indexes: int64 with 4 bits per
+    position up to _INT64_MAX_N columns, n-byte strings beyond."""
     n = rows.shape[1]
     if n <= _INT64_MAX_N:
-        return rows.astype(np.int64) @ _radix(n)
+        return rows.astype(np.int64) @ (1 << _shifts(n))
     return np.ascontiguousarray(rows).view(np.dtype((np.void, n))).ravel()
 
 
 def _rows(keys, n):
-    """The rows of pebble indexes that ``_keys`` packed: decoded digit by
-    digit from int64 keys, a view of byte keys."""
+    """The rows of pebble indexes that ``_keys`` packed: a shift and a mask
+    per digit of int64 keys, a view of byte keys."""
     if keys.dtype.kind == "V":
         return keys.view(np.uint8).reshape(-1, n)
-    return (keys[:, None] // _radix(n) % n).astype(np.uint8)
+    return (keys[:, None] >> _shifts(n) & 15).astype(np.uint8)
 
 
-def _children(keys, rows, moves, legal):
-    """Keys of the legal children of ``keys``, key by key then move by move.
-    An int64 key steps by the sum of its move's swap deltas: a swap at
-    (a, b) adds (d_b - d_a) * (radix[a] - radix[b]), d_b - d_a read off the
-    pebble pair code d_a * n + d_b.  A byte key's child row is a copy of
-    its parent's with the move's swaps made."""
+def _steps(moves, n):
+    """The int64 key step of each swap of ``_children``, raveled over (pair
+    column, pebble pair code): a swap at pair column (a, b) on code
+    d_a * n + d_b adds (d_b - d_a) * (weight[a] - weight[b]).  None past
+    _INT64_MAX_N, where keys are bytes."""
+    if n > _INT64_MAX_N:
+        return None
+    weight = 1 << _shifts(n)
+    code = np.arange(n * n)
+    return ((code % n - code // n) * (weight[moves.I] - weight[moves.J])[:, None]).ravel()
+
+
+def _children(keys, rows, moves, P, steps):
+    """The legal (row, move) cells of a block of states and their
+    children's keys, in cell order, from one gather of the block's pebble
+    pair codes, one per (row, pair column).  The codes of the board edges
+    give legality.  An int64 child key is its parent's plus one ``_steps``
+    entry per swap of its move, read at the swap's pair column and code.
+    A byte key's child row is a copy of its parent's with the move's swaps
+    made.  Returns (keys, row, move)."""
     n = rows.shape[1]
+    pairs = rows.astype(np.intp) if n > 16 else rows  # uint8 codes would wrap
+    codes = pairs[:, moves.I] * n + pairs[:, moves.J]
+    row, move = _cells(_legal(P.take(codes), moves))
     if keys.dtype.kind == "V":
-        row, move = _cells(legal)
         kids = rows.take(row, axis=0)
         flat = kids.ravel()
         at = np.arange(0, flat.size, n)  # each child's first byte
-        for a, b in zip(moves.A, moves.B):
-            i, j = at + a.take(move), at + b.take(move)
+        for swap in moves.swaps:
+            col = swap.take(move)
+            i, j = at + moves.I.take(col), at + moves.J.take(col)
             flat[i], flat[j] = flat[j], flat[i]
-        return _keys(kids)
-    radix = _radix(n)
-    diff = np.arange(n * n) % n - np.arange(n * n) // n
-    kids = keys[:, None]
-    for a, b in zip(moves.A, moves.B):
-        kids = kids + diff.take(rows[:, a] * n + rows[:, b]) * (radix[a] - radix[b])
-    return kids[legal]
+        return _keys(kids), row, move
+    kids = keys.take(row)
+    for swap in moves.swaps:
+        col = swap.take(move)
+        code = codes.take(row * codes.shape[1] + col)
+        col *= n * n  # in place: one cell-length array fewer at the peak
+        col += code
+        kids += steps.take(col)
+    return kids, row, move
 
 
 def _distinct(keys):
@@ -442,21 +470,25 @@ def _absent(keys, near):
 def _packed_levels(puz, moves, ends, cap, witness):
     """The level loop over packed keys, for n > _RANKED_MAX_N.
 
-    A move undoes itself (the pebble matrix is symmetric), so the children
-    of level L are checked against the sorted keys of levels L - 1 and L
-    only.  Without a witness, each frontier is its level's sorted keys.
-    With one, children are taken in (frontier row, move) order, each new key
-    keeps its first discovery with its parent's index in the frontier and
-    its move index, and the frontier stays in discovery order.
+    Each block of a frontier goes through ``_children``: one gather of
+    pebble pair codes, legality from the edge codes, and child keys for the
+    legal (row, move) cells only.  A move undoes itself (the pebble matrix
+    is symmetric), so the children of level L are checked against the
+    sorted keys of levels L - 1 and L only.  Without a witness, each
+    frontier is its level's sorted keys.  With one, children are taken in
+    (frontier row, move) order, each new key keeps its first discovery with
+    its parent's index in the frontier and its move index, read off the
+    block's cells, and the frontier stays in discovery order.
     """
     n = puz.n
     P = _pebble_matrix(puz)
+    steps = _steps(moves, n)
     start, *goal = _keys(ends)
     levels = [np.array([start])]  # each level's keys, sorted
     frontier = levels[0]
     visits = [(frontier, None, None)]  # with a witness: keys, parent, move
     count = 1
-    block = max(1, _BLOCK_CELLS // max(moves.A.shape[1], 1))
+    block = max(1, _BLOCK_CELLS // max(moves.swaps.shape[1], 1))
     while True:
         _check_cap(count, cap)
         if not frontier.size or (goal and not _absent(np.array(goal), levels[-1:])[0]):
@@ -464,14 +496,10 @@ def _packed_levels(puz, moves, ends, cap, witness):
         parts = []
         for lo in range(0, frontier.size, block):
             keys = frontier[lo: lo + block]
-            rows = _rows(keys, n)
-            pairs = rows.astype(np.intp) if n > 16 else rows  # uint8 codes would wrap
-            legal = _legal(P.take(pairs[:, moves.I] * n + pairs[:, moves.J]), moves)
-            kids = _children(keys, rows, moves, legal)
+            kids, row, move = _children(keys, _rows(keys, n), moves, P, steps)
             if witness:
                 cell = _first_occurrences(kids)
                 cell = cell[_absent(kids[cell], levels[-2:])]
-                row, move = _cells(legal)
                 parts.append((kids[cell], (row[cell] + lo).astype(np.int32),
                               move[cell].astype(np.int32)))
             else:

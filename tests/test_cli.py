@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from pebblex import cli, squares
+from pebblex import classify, cli, squares
 
 
 def run(capsys, *argv):
@@ -359,6 +359,19 @@ def test_verify_max_n_boundary_is_inclusive(capsys, suite, max_n, instance):
     code, rep = run_json(capsys, "verify", suite, "--max-n", max_n, "--no-timing")
     assert code == 0 and rep["verdict"] is True
     assert [r["instance"] for r in rep["reports"]] == [instance]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_refuses_jobs_below_one(capsys, monkeypatch, jobs):
+    # such a sweep used to run serially and exit 0
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", no_pool)
+    code, out = run(capsys, "verify", "examples", "--max-n", "3", "--jobs", jobs)
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith("usage: pebblex verify")
+    assert out.err.endswith(f"error: argument --jobs: must be at least 1, got {jobs}\n")
 
 
 def test_verify_product_requires_both_factors(capsys):

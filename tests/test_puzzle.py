@@ -635,7 +635,7 @@ def test_p9_squared_answers_are_pinned():
 
 @pytest.mark.parametrize("n", [8, 15, 16])
 def test_int64_child_keys_step_by_the_edge_delta(n):
-    # 15 vertices is the largest int64 radix; overflow in the delta would
+    # 15 vertices is the widest int64 key; overflow in the delta would
     # show as a key that differs from the reversed row's.  The moves are
     # every swap of the clique K_n and a few longer paths on it; at 16
     # vertices the byte keys gather their child rows instead
@@ -655,11 +655,40 @@ def test_int64_child_keys_step_by_the_edge_delta(n):
                 expected.append(kid)
     moves = _p._moves(edges, paths)
     keys = _p._keys(rows)
-    got = _p._children(keys, _p._rows(keys, n), moves,
-                       _p._legal(P.ravel().take(rows[:, moves.I] * n + rows[:, moves.J]),
-                                 moves))
+    got, _, _ = _p._children(keys, _p._rows(keys, n), moves, P.ravel(), _p._steps(moves, n))
     assert len(expected) > 500
     assert got.tolist() == _p._keys(np.array(expected)).tolist()
+
+
+@pytest.mark.parametrize(
+    "pz",
+    [Puz(path(8), star(7)), puz_on(cycle(11)), Puz(cycle(12), star(11)),
+     puz_on(path(15)), Puz(cycle(15), star(14))],
+    ids=["p8/star7", "c11", "c12/star11", "p15", "c15/star14"],
+)
+def test_int64_and_byte_keys_agree(pz, monkeypatch):
+    # the same searches with every key a byte string; at 15 vertices the
+    # first position's digit sits in bits 56-59 of an int64 key
+    rng = random.Random(pz.n)
+    ident = identity_configuration(pz)
+    probes = (rng.sample(sorted(reachable_set(pz)), 3)
+              + [tuple(rng.sample(ident, pz.n)) for _ in range(3)])
+
+    def answers():
+        search = _p._search(pz, None, 10**6)
+        return (search.count, search.reached(probes),
+                [bfs_witness(pz, ident, target) for target in probes])
+
+    int64 = answers()
+    with monkeypatch.context() as m:
+        m.setattr(_p, "_INT64_MAX_N", 0)
+        assert _p._keys(np.zeros((1, pz.n), dtype=np.uint8)).dtype.kind == "V"
+        assert answers() == int64
+    count, reached, witnesses = int64
+    assert count == reachable_count(pz) and len(reached) >= 3
+    for target, moves in zip(probes, witnesses):
+        assert (moves is None) == (target not in reached)
+        assert moves is None or replay(pz, ident, moves) == target
 
 
 @pytest.mark.parametrize("n", range(1, _p._RANKED_MAX_N + 1))
