@@ -296,26 +296,28 @@ def _cmd_verify(args):
     return {"suite": suite, "verdict": verdict, "reports": reports}, 0 if verdict else 1
 
 
-def _at_least_one(text):
-    """An argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_common(sp, out=False, jobs=False):
-    sp.add_argument("--cap", type=int, default=puzzle.DEFAULT_CAP,
+    sp.add_argument("--cap", type=_at_least(0), default=puzzle.DEFAULT_CAP,
                     help="max explored configurations before giving up")
     sp.add_argument("--no-timing", action="store_true",
                     help="omit elapsed-time fields from the report")
     if out:
         sp.add_argument("--out", default=None, help="write the certificate here")
     if jobs:
-        sp.add_argument("--jobs", type=_at_least_one, default=None,
+        sp.add_argument("--jobs", type=_at_least(1), default=None,
                         help="worker processes for sweep suites")
 
 

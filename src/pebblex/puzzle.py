@@ -22,7 +22,10 @@ of vertices n in ``_engine``:
   positions, so a level reads legality and children from one gather of
   swap-table rows.  A path reversal is at most n // 2 disjoint swaps, so a
   child's rank is that many swap-table lookups, and each level is marked
-  in an n!-entry array.
+  in an n!-entry array.  A pebble-swap search with n! * C(n,2) cells
+  within one block (n <= 6) derives from the swap table a child table for
+  its own instance, one child rank per (rank, board edge), so each of its
+  levels is one gather of table rows.
 * n > 7: each configuration packs into one sortable key, an int64 with 4
   bits per position up to 15 vertices and an n-byte string beyond.  A
   block of a level reads each board edge's pebble pair code once per
@@ -175,7 +178,8 @@ def replay(puz, start, moves):
 # per int32 array and 512 KB per index array.  The whole flip space of K7
 # (5,040 states, 6,846 paths) then peaks about 5 MB above where it started,
 # where one unblocked level would take 276 MB per int64 array; 2**20 cells
-# peaked 60 MB higher and ran no faster
+# peaked 60 MB higher and ran no faster.  It also bounds the per-call
+# child table of a ranked pebble-swap search: n! * C(n,2) cells, so n <= 6
 _BLOCK_CELLS = 1 << 16
 
 
@@ -326,7 +330,13 @@ def _ranks(tables, rows):
 def _ranked_levels(puz, moves, ends, cap, witness):
     """The level loop over permutation ranks, for n <= _RANKED_MAX_N.
 
-    One gather of swap-table rows serves a block of the frontier: the low
+    A level's children come one of two ways.  Pebble swaps with n! * C(n,2)
+    <= _BLOCK_CELLS (n <= 6) gather rows of a child table, built from the
+    swap table once per call, when the first level is expanded: one int32
+    child rank per (rank, board edge), the start rank for an illegal swap,
+    which is always seen.  Other searches (flip paths, and n = 7, where
+    such a table costs more than a whole small search) run the block body:
+    one gather of swap-table rows serves a block of the frontier; the low
     byte of an edge's column is the pebble pair code that decides its
     legality, and the high bits of a move's swap columns give its child's
     rank, one lookup per swap, the padding (0, 0) swaps reading the
@@ -334,7 +344,8 @@ def _ranked_levels(puz, moves, ends, cap, witness):
     n!-entry array and read back in rank order.  With one, children are
     taken in (frontier row, move) order, each new rank keeps its first
     discovery with its parent rank and move index, and the frontier stays
-    in discovery order.
+    in discovery order; the table's illegal cells are seen, so both ways
+    keep the same cells and give the same move lists.
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
@@ -346,31 +357,42 @@ def _ranked_levels(puz, moves, ends, cap, witness):
     parent, via = np.full((2, len(seen) if witness else 0), -1, dtype=np.int32)
     frontier = np.array([start])
     count = 1
-    block = max(1, _BLOCK_CELLS // max(moves.swaps.shape[1], 1))
+    M = moves.swaps.shape[1]
+    block = max(1, _BLOCK_CELLS // max(M, 1))
+    # a child table has n! * C(n,2) cells
+    tabled = moves.steps is None and len(seen) * (tables.swap.shape[1] - 1) <= _BLOCK_CELLS
+    table = None
     while True:
         _check_cap(count, cap)
         if not frontier.size or (goal and seen[goal[0]]):
             break
+        if tabled and table is None:
+            y = tables.swap.take(pair_cols, axis=1)
+            table = np.where(P.take(y & 255), y >> 8, int(start))
         fresh = np.zeros(seen.size, dtype=bool)
         level = []
         for lo in range(0, frontier.size, block):
             ranks = frontier[lo: lo + block]
-            x = tables.swap.take(ranks, axis=0)
-            legal = _legal(P.take(x.take(pair_cols, axis=1) & 255), moves)
-            # each move's first swap over the whole block, the others only
-            # where the move is legal
-            kids = x.take(cols[0], axis=1)[legal] >> 8
-            if witness or len(cols) > 1:
-                row, move = _cells(legal)
-            for col in cols[1:]:
-                kids = tables.swap[kids, col[move]] >> 8
+            if tabled:  # the children of every (row, move) cell
+                kids = table.take(ranks, axis=0).ravel()
+            else:  # the children of the legal (row, move) cells
+                x = tables.swap.take(ranks, axis=0)
+                legal = _legal(P.take(x.take(pair_cols, axis=1) & 255), moves)
+                # each move's first swap over the whole block, the others
+                # only where the move is legal
+                kids = x.take(cols[0], axis=1)[legal] >> 8
+                if witness or len(cols) > 1:
+                    row, move = _cells(legal)
+                for col in cols[1:]:
+                    kids = tables.swap[kids, col[move]] >> 8
             if witness:
                 cell = np.flatnonzero(~seen[kids])
                 cell = cell[_first_occurrences(kids[cell])]
                 kids = kids[cell]
                 seen[kids] = True
-                parent[kids] = ranks[row[cell]]
-                via[kids] = move[cell]
+                row, move = np.divmod(cell, M) if tabled else (row[cell], move[cell])
+                parent[kids] = ranks[row]
+                via[kids] = move
                 level.append(kids)
             else:
                 fresh[kids] = True

@@ -374,6 +374,19 @@ def test_verify_refuses_jobs_below_one(capsys, monkeypatch, jobs):
     assert out.err.endswith(f"error: argument --jobs: must be at least 1, got {jobs}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("peb", "--graph", "p3"),
+    ("feasible", "--board", "p3", "--pebbles", "p3"),
+    ("verify", "lemma-square", "--max-n", "3"),
+])
+def test_a_negative_cap_is_a_usage_error(capsys, argv):
+    # it used to search and exit 3, as if the cap had been exceeded
+    code, out = run(capsys, *argv, "--cap", "-1")
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith("usage:")
+    assert out.err.endswith("error: argument --cap: must be at least 0, got -1\n")
+
+
 def test_verify_product_requires_both_factors(capsys):
     code, out = run(capsys, "verify", "product", "--g1", "p2")
     assert code == 2

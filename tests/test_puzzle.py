@@ -732,3 +732,35 @@ def test_packed_and_ranked_engines_agree_to_six_vertices(n, packed):
                 f"visited {count} configurations, cap is {count - 1}"
             )
             assert reachable_count(pz, cap=count) == count
+
+
+def test_the_child_table_and_the_block_body_agree():
+    # pebble swaps up to 6 vertices read a per-call child table; the same
+    # swaps passed as two-vertex paths run the block body.  Every connected
+    # board up to 5 vertices and a seeded sample of 6-vertex boards, each
+    # against itself, a clique and a star, from a seeded start
+    rng = random.Random(20)
+    boards = [b for n in range(1, 6) for b in connected_graphs(n)]
+    boards += rng.sample(connected_graphs(6), 12)
+    for board in boards:
+        n, edges = board.n, board.edges()
+        for pebbles in [board, complete(n)] + ([star(n - 1)] if n > 1 else []):
+            pz = Puz(board, pebbles)
+            ident = identity_configuration(pz)
+            start = ident
+            while start == ident and n > 1:
+                start = tuple(rng.sample(ident, n))
+            for witness in (False, True):
+                table, body = (_p._search(pz, start, _p.DEFAULT_CAP, witness=witness,
+                                          paths=paths) for paths in (None, edges))
+                states = table.states()
+                assert (table.count, states) == (body.count, body.states()), pz
+                for config in states if witness else ():
+                    assert table.moves_to(config) == body.moves_to(config), (pz, config)
+                messages = []
+                for paths in (None, edges):
+                    with pytest.raises(CapExceededError) as exc:
+                        _p._search(pz, start, table.count - 1, witness=witness, paths=paths)
+                    messages.append(str(exc.value))
+                assert messages == [f"visited {table.count} configurations, "
+                                    f"cap is {table.count - 1}"] * 2, pz
