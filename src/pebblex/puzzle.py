@@ -22,10 +22,12 @@ of vertices n in ``_engine``:
   positions, so a level reads legality and children from one gather of
   swap-table rows.  A path reversal is at most n // 2 disjoint swaps, so a
   child's rank is that many swap-table lookups, and each level is marked
-  in an n!-entry array.  A pebble-swap search with n! * C(n,2) cells
-  within one block (n <= 6) derives from the swap table a child table for
-  its own instance, one child rank per (rank, board edge), so each of its
-  levels is one gather of table rows.
+  in an n!-entry array.  A pebble-swap search derives from the swap table
+  a child table for its own instance, one child rank per (rank, board
+  edge), and from then on reads each level as one gather of table rows.
+  It builds the table at its first level up to 6 vertices; at 7 it starts
+  without one and builds it once it has visited n! / 128 states, since a
+  7-vertex table costs more than a whole small search.
 * n > 7: each configuration packs into one sortable key, an int64 with 4
   bits per position up to 15 vertices and an n-byte string beyond.  A
   block of a level reads each board edge's pebble pair code once per
@@ -34,7 +36,8 @@ of vertices n in ``_engine``:
   move, read at the swap's pebble pair code, taken for the legal moves
   only.  A move undoes itself, so a child of level L lies on level L - 1,
   L or L + 1, and each new level is deduplicated against the sorted keys
-  of the two levels before it only.
+  of the two levels before it only; a pebble swap flips the sign of the
+  configuration, so a pebble-swap search needs level L - 1 alone.
 
 Both loops answer every query, and test each board edge once per state
 before each move ANDs the edges it steps on.  Only a witness query records
@@ -178,9 +181,26 @@ def replay(puz, start, moves):
 # per int32 array and 512 KB per index array.  The whole flip space of K7
 # (5,040 states, 6,846 paths) then peaks about 5 MB above where it started,
 # where one unblocked level would take 276 MB per int64 array; 2**20 cells
-# peaked 60 MB higher and ran no faster.  It also bounds the per-call
-# child table of a ranked pebble-swap search: n! * C(n,2) cells, so n <= 6
+# peaked 60 MB higher and ran no faster.
 _BLOCK_CELLS = 1 << 16
+# A ranked pebble-swap search reads its levels from a per-call child table
+# of n! * E int32 child ranks, E the board edges.  A table that fits one
+# block (n! * C(n,2) cells, n <= 6) is built at the first level: it costs
+# about two or three block-body levels, and starting without it made the
+# 6-vertex feasibility items 4% slower.  The n = 7 table, up to 5,040 * 21
+# cells (423 KB), is built once the search has visited n! / _TABLE_SHARE
+# states (40); only counts decide, so which path a search takes is fixed.
+# Measured on a 2-vCPU VM: the build costs 4-5 ns per cell (180-360 us at
+# n = 7), and a level read from the table costs about 6 us less, plus 6 ns
+# less per (state, edge) cell, than the block body.  So a table repays its
+# build over about 3/4 of n! expanded states: searches that cover n! gain
+# (96% of the 7,287 seven-vertex searches of verify_examples_agreement),
+# while one that ends between n! / 128 and about 3/4 of n! states pays the
+# build without repaying it.  Waiting for n! / 128 states forfeits a full
+# search's saving on under 1% of its cells and on its first 3-4 levels,
+# and spares every search that ends before then the build, which costs two
+# to three times a whole 30-state search.
+_TABLE_SHARE = 128
 
 
 def _edge_positions(puz):
@@ -327,25 +347,33 @@ def _ranks(tables, rows):
     return tables.keys.searchsorted(_keys(rows))
 
 
+def _child_table(tables, P, pair_cols, start):
+    """The (n!, E) int32 child ranks of a pebble-swap instance: the rank
+    each board edge's swap leads to, or the start rank where it is illegal."""
+    y = tables.swap.take(pair_cols, axis=1)
+    return np.where(P.take(y & 255), y >> 8, int(start))
+
+
 def _ranked_levels(puz, moves, ends, cap, witness):
     """The level loop over permutation ranks, for n <= _RANKED_MAX_N.
 
-    A level's children come one of two ways.  Pebble swaps with n! * C(n,2)
-    <= _BLOCK_CELLS (n <= 6) gather rows of a child table, built from the
-    swap table once per call, when the first level is expanded: one int32
-    child rank per (rank, board edge), the start rank for an illegal swap,
-    which is always seen.  Other searches (flip paths, and n = 7, where
-    such a table costs more than a whole small search) run the block body:
-    one gather of swap-table rows serves a block of the frontier; the low
-    byte of an edge's column is the pebble pair code that decides its
-    legality, and the high bits of a move's swap columns give its child's
-    rank, one lookup per swap, the padding (0, 0) swaps reading the
-    identity column.  Without a witness, each level is marked in an
-    n!-entry array and read back in rank order.  With one, children are
-    taken in (frontier row, move) order, each new rank keeps its first
+    A level's children come one of two ways.  The block body: one gather
+    of swap-table rows serves a block of the frontier; the low byte of an
+    edge's column is the pebble pair code that decides its legality, and
+    the high bits of a move's swap columns give its child's rank, one
+    lookup per swap, the padding (0, 0) swaps reading the identity column.
+    Or, for pebble swaps, rows of the ``_child_table``: one int32 child rank
+    per (rank, board edge), the start rank for an illegal swap, which is
+    always seen.  A pebble-swap search builds the table at its first level
+    when it fits one block (n <= 6), and at n = 7 once it has visited
+    n! / _TABLE_SHARE states, so a 7-vertex search may switch part-way;
+    flip paths run the block body.  Without a witness, each level is marked
+    in an n!-entry array and read back in rank order.  With one, children
+    are taken in (frontier row, move) order, each new rank keeps its first
     discovery with its parent rank and move index, and the frontier stays
-    in discovery order; the table's illegal cells are seen, so both ways
-    keep the same cells and give the same move lists.
+    in discovery order.  Each level reads (row, move) off the way it read
+    its children; the table's illegal cells are seen, so both ways keep the
+    same cells and give the same move lists.
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
@@ -359,21 +387,22 @@ def _ranked_levels(puz, moves, ends, cap, witness):
     count = 1
     M = moves.swaps.shape[1]
     block = max(1, _BLOCK_CELLS // max(M, 1))
-    # a child table has n! * C(n,2) cells
-    tabled = moves.steps is None and len(seen) * (tables.swap.shape[1] - 1) <= _BLOCK_CELLS
+    # the visited count at which a search builds its child table
+    table_at = (math.inf if moves.steps is not None  # flip paths: never
+                else 1 if len(seen) * (tables.swap.shape[1] - 1) <= _BLOCK_CELLS
+                else len(seen) / _TABLE_SHARE)
     table = None
     while True:
         _check_cap(count, cap)
         if not frontier.size or (goal and seen[goal[0]]):
             break
-        if tabled and table is None:
-            y = tables.swap.take(pair_cols, axis=1)
-            table = np.where(P.take(y & 255), y >> 8, int(start))
+        if table is None and count >= table_at:
+            table = _child_table(tables, P, pair_cols, start)
         fresh = np.zeros(seen.size, dtype=bool)
         level = []
         for lo in range(0, frontier.size, block):
             ranks = frontier[lo: lo + block]
-            if tabled:  # the children of every (row, move) cell
+            if table is not None:  # the children of every (row, move) cell
                 kids = table.take(ranks, axis=0).ravel()
             else:  # the children of the legal (row, move) cells
                 x = tables.swap.take(ranks, axis=0)
@@ -390,7 +419,9 @@ def _ranked_levels(puz, moves, ends, cap, witness):
                 cell = cell[_first_occurrences(kids[cell])]
                 kids = kids[cell]
                 seen[kids] = True
-                row, move = np.divmod(cell, M) if tabled else (row[cell], move[cell])
+                # this level's way of reading children: both keep the same cells
+                row, move = (np.divmod(cell, M) if table is not None
+                             else (row[cell], move[cell]))
                 parent[kids] = ranks[row]
                 via[kids] = move
                 level.append(kids)
@@ -495,12 +526,17 @@ def _packed_levels(puz, moves, ends, cap, witness):
     Each block of a frontier goes through ``_children``: one gather of
     pebble pair codes, legality from the edge codes, and child keys for the
     legal (row, move) cells only.  A move undoes itself (the pebble matrix
-    is symmetric), so the children of level L are checked against the
-    sorted keys of levels L - 1 and L only.  Without a witness, each
-    frontier is its level's sorted keys.  With one, children are taken in
-    (frontier row, move) order, each new key keeps its first discovery with
-    its parent's index in the frontier and its move index, read off the
-    block's cells, and the frontier stays in discovery order.
+    is symmetric), so the children of level L lie on level L - 1, L or
+    L + 1, and are checked against the sorted keys of levels L - 1 and L
+    only.  A pebble swap is a transposition, which flips the sign of the
+    configuration, so its children never lie on level L: a pebble-swap
+    search checks them against level L - 1 alone.  A flip reverses a
+    k-vertex path, k // 2 swaps, which keep the sign when k // 2 is even,
+    so flip searches check both.  Without a witness, each frontier is its
+    level's sorted keys.  With one, children are taken in (frontier row,
+    move) order, each new key keeps its first discovery with its parent's
+    index in the frontier and its move index, read off the block's cells,
+    and the frontier stays in discovery order.
     """
     n = puz.n
     P = _pebble_matrix(puz)
@@ -515,18 +551,19 @@ def _packed_levels(puz, moves, ends, cap, witness):
         _check_cap(count, cap)
         if not frontier.size or (goal and not _absent(np.array(goal), levels[-1:])[0]):
             break
+        near = levels[-2:-1] if moves.steps is None else levels[-2:]
         parts = []
         for lo in range(0, frontier.size, block):
             keys = frontier[lo: lo + block]
             kids, row, move = _children(keys, _rows(keys, n), moves, P, steps)
             if witness:
                 cell = _first_occurrences(kids)
-                cell = cell[_absent(kids[cell], levels[-2:])]
+                cell = cell[_absent(kids[cell], near)]
                 parts.append((kids[cell], (row[cell] + lo).astype(np.int32),
                               move[cell].astype(np.int32)))
             else:
                 kids = _distinct(kids)
-                parts.append(kids[_absent(kids, levels[-2:])])
+                parts.append(kids[_absent(kids, near)])
         # a key new to two blocks of a level is kept once, at its first
         if witness:
             kids, row, move = map(np.concatenate, zip(*parts))

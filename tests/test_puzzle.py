@@ -735,13 +735,17 @@ def test_packed_and_ranked_engines_agree_to_six_vertices(n, packed):
 
 
 def test_the_child_table_and_the_block_body_agree():
-    # pebble swaps up to 6 vertices read a per-call child table; the same
-    # swaps passed as two-vertex paths run the block body.  Every connected
-    # board up to 5 vertices and a seeded sample of 6-vertex boards, each
-    # against itself, a clique and a star, from a seeded start
+    # pebble swaps read a per-call child table, from the first level up to
+    # 6 vertices and, at 7, from the level where the search has visited
+    # 5040 / _TABLE_SHARE states; the same swaps passed as two-vertex paths
+    # run the block body.  Every connected board up to 5 vertices and seeded
+    # samples of 6- and 7-vertex boards plus theta122, each against itself,
+    # a clique and a star, from a seeded start
     rng = random.Random(20)
     boards = [b for n in range(1, 6) for b in connected_graphs(n)]
     boards += rng.sample(connected_graphs(6), 12)
+    boards += rng.sample(connected_graphs(7), 3) + [graph_from_desc("theta122")]
+    switched = set()  # 7-vertex searches that did and did not switch
     for board in boards:
         n, edges = board.n, board.edges()
         for pebbles in [board, complete(n)] + ([star(n - 1)] if n > 1 else []):
@@ -764,3 +768,30 @@ def test_the_child_table_and_the_block_body_agree():
                     messages.append(str(exc.value))
                 assert messages == [f"visited {table.count} configurations, "
                                     f"cap is {table.count - 1}"] * 2, pz
+                if n == 7:
+                    switched.add(table.count >= math.factorial(7) / _p._TABLE_SHARE)
+    assert switched == {False, True}
+
+
+def test_a_seven_vertex_search_builds_its_child_table_once_it_grows(monkeypatch):
+    # the rule reads the visited count, never a clock: small 7-vertex
+    # searches run the block body to the end, a full one builds one table
+    built = []
+
+    def child_table(*args):
+        built.append(args)
+        return real(*args)
+
+    real = _p._child_table
+    monkeypatch.setattr(_p, "_child_table", child_table)
+    theta = graph_from_desc("theta122")
+    small = [puz_on(graph_from_desc("c7")), puz_on(theta), Puz(theta, graph_from_desc("p7"))]
+    for pz in small + [Puz(theta, complete(7))]:
+        for witness in (False, True):
+            built.clear()
+            count = _p._search(pz, None, _p.DEFAULT_CAP, witness=witness).count
+            assert len(built) == (0 if pz in small else 1), (pz, witness)
+            assert (count < 40) == (pz in small) and count in (13, 29, 34, 5040)
+    # flip paths never read a child table
+    assert len(flip_reachable_set(theta)) == 4928
+    assert len(built) == 1
