@@ -1,5 +1,6 @@
 """Flip moves, the flip BFS oracle, and the constructive realizer."""
 
+import collections
 import contextlib
 import hashlib
 import math
@@ -33,7 +34,7 @@ from pebblex import (
 from pebblex import flips, puzzle
 from pebblex.catalog import connected_graphs
 from pebblex.flips import _select_dict
-from pebblex.graphs import distances_from
+from pebblex.graphs import complete_multipartite, distances_from, hypercube
 from pebblex.names import graph_from_desc
 from pebblex.perms import automorphisms_dict, perm_power
 
@@ -108,6 +109,49 @@ def test_internal_replay_reports_an_illegal_flip_as_a_realization_error():
         match=r"^internal: realize: pebbles 1 and 3 along flip path \(1, 2, 3\)",
     ):
         flips._replay_dict(path(3), [(2, 3), (1, 2, 3)], "realize")
+
+
+# the texts of the flip check, as the package has always worded them, and
+# their precedence: a short path before a repeat before a missing vertex,
+# a missing vertex before any non-adjacent pair, and every board error
+# before a pebble error.  The pebble graph is star3 (pebble 1 the center).
+FLIP_ERRORS = [
+    ((1,), BoardPathError, "a flip path needs at least two vertices"),
+    ((9,), BoardPathError, "a flip path needs at least two vertices"),
+    ((1, 2, 1), BoardPathError, "flip path (1, 2, 1) repeats a vertex"),
+    ((9, 9), BoardPathError, "flip path (9, 9) repeats a vertex"),
+    ((9, 1), BoardPathError, "flip path names missing vertex 9"),
+    ((1, 3, 9), BoardPathError, "flip path names missing vertex 9"),
+    ((1, 3), BoardPathError,
+     "board vertices 1 and 3 in flip path are not adjacent"),
+    # pebbles 2 and 3 are not adjacent either, but the board is read first
+    ((2, 3, 1), BoardPathError,
+     "board vertices 3 and 1 in flip path are not adjacent"),
+    ((2, 3), PebblePathError,
+     "pebbles 2 and 3 along flip path (2, 3) are not adjacent in the "
+     "pebble graph"),
+    ((1, 2, 3), PebblePathError,
+     "pebbles 2 and 3 along flip path (1, 2, 3) are not adjacent in the "
+     "pebble graph"),
+]
+
+
+@pytest.mark.parametrize("flip,exc,text", FLIP_ERRORS)
+def test_flip_check_texts_are_pinned(flip, exc, text):
+    from pebblex import Puz
+
+    pz = Puz(path(4), graph_from_desc("star3"))
+    start = (1, 2, 3, 4)
+    with pytest.raises(exc) as e1:
+        apply_flip(pz, start, flip)
+    assert str(e1.value) == text
+    with pytest.raises(exc) as e2:
+        replay_flips(pz, start, [flip])
+    assert str(e2.value) == text
+    # after two legal flips that put every pebble back
+    with pytest.raises(exc) as e3:
+        replay_flips(pz, start, [(1, 2), (1, 2), flip])
+    assert str(e3.value) == text
 
 
 def test_replay_flips_composes_left_to_right():
@@ -562,6 +606,75 @@ def test_realized_sequences_on_six_vertex_boards_are_pinned():
             total += 1
     assert total == 1650
     assert h.hexdigest() == REALIZED_6_DIGEST
+
+
+def _circulant(n, k):
+    return Graph(range(1, n + 1), [
+        (i, (i + s - 1) % n + 1) for i in range(1, n + 1) for s in (1, k)
+    ])
+
+
+def _prism(k):
+    return Graph(range(1, 2 * k + 1), [
+        e for i in range(1, k + 1)
+        for e in ((i, i % k + 1), (k + i, k + i % k + 1), (i, k + i))
+    ])
+
+
+def _moebius_ladder(k):
+    n = 2 * k
+    return Graph(range(1, n + 1), [(i, i % n + 1) for i in range(1, n + 1)]
+                 + [(i, i + k) for i in range(1, k + 1)])
+
+
+def _petersen():
+    return Graph(range(1, 11), [
+        e for i in range(1, 6)
+        for e in ((i, i % 5 + 1), (i, i + 5), (5 + i, 5 + (i + 1) % 5 + 1))
+    ])
+
+
+def _symmetric_boards():
+    """42 vertex-transitive boards: the circulants C_n(1, k) for n = 5..12
+    and 2 <= k <= n/2, the prisms and the Moebius ladders on 4 to 16
+    vertices, the Petersen graph, Q4, K3,3, K4,4 and K2,2,2,2."""
+    out = [_circulant(n, k) for n in range(5, 13) for k in range(2, n // 2 + 1)]
+    out += [_prism(k) for k in range(3, 9)]
+    out += [_moebius_ladder(k) for k in range(2, 9)]
+    out += [_petersen(), hypercube(4), complete_multipartite(3, 3),
+            complete_multipartite(4, 4), complete_multipartite(2, 2, 2, 2)]
+    return out
+
+
+# sha256 over repr(realize_by_flips(g, sigma)) for a seeded fifth of the
+# automorphisms of each symmetric board (1,125 of 5,550).  They reach the
+# spanning quotient split 37 times and the tail quotient split 222 times;
+# the six-vertex boards above reach the quotient split far less often.
+SYMMETRIC_DIGEST = (
+    "21ab9d178b8170e6b26031b77d23b923bc07a389aa88de35e29cdf2e32905c0c"
+)
+
+
+def test_realized_sequences_on_symmetric_boards_are_pinned(monkeypatch):
+    splits = collections.Counter()
+    split = flips._quotient_split
+
+    def counted(*args):
+        splits[args[-1]] += 1
+        return split(*args)
+
+    monkeypatch.setattr(flips, "_quotient_split", counted)
+    rng = random.Random(2019)
+    h = hashlib.sha256()
+    total = 0
+    for g in _symmetric_boards():
+        auts = automorphisms(g)
+        for sigma in rng.sample(auts, -(-len(auts) // 5)):
+            h.update(repr(realize_by_flips(g, sigma)).encode())
+            total += 1
+    assert total == 1125
+    assert splits == {"quotient split": 37, "tail quotient split": 222}
+    assert h.hexdigest() == SYMMETRIC_DIGEST
 
 
 # ---------------------------------------------------------------------------
