@@ -43,6 +43,7 @@ from .graphs import (
     components,
     distances_from,
     is_connected,
+    is_connected_without,
     shortest_path,
     shortest_path_to_set,
 )
@@ -74,18 +75,20 @@ def _flip_in_place(board, pebbles, cfg, path):
         raise BoardPathError("a flip path needs at least two vertices")
     if len(set(path)) != len(path):
         raise BoardPathError(f"flip path {path} repeats a vertex")
+    badj = board.adj
     for a, b in zip(path, path[1:]):
-        if not board.has_edge(a, b):
+        if b not in badj.get(a, ()):
             # an edge check fails on a missing vertex too; name that first
             for v in path:
-                if not board.has_vertex(v):
+                if v not in badj:
                     raise BoardPathError(f"flip path names missing vertex {v}")
             raise BoardPathError(
                 f"board vertices {a} and {b} in flip path are not adjacent"
             )
     pebs = [cfg[v] for v in path]
+    padj = pebbles.adj
     for a, b in zip(pebs, pebs[1:]):
-        if not pebbles.has_edge(a, b):
+        if b not in padj.get(a, ()):
             raise PebblePathError(
                 f"pebbles {a} and {b} along flip path {path} are not "
                 f"adjacent in the pebble graph"
@@ -253,10 +256,15 @@ def _select_dict(g, sig):
 
     A power coprime to the order keeps every cycle of sig whole, so orbit
     sizes are read once off sig's cycles and sig^e(x) is a step e along
-    x's cycle.  A vertex that stays put or lands on a neighbor beats every
-    farther one, so distances are searched, each vertex's at most once,
-    only when no such vertex exists.
+    x's cycle.  A fixed point x gives (0, 1, 1, x), the least key there
+    is, so sig itself comes back at once with its first fixed point.
+    Otherwise a vertex that lands on a neighbor beats every farther one,
+    so distances are searched, each vertex's at most once, only when no
+    such vertex exists.
     """
+    for x in g.vertices:
+        if sig[x] == x:  # (0, 1, 1, x) is the least key there is
+            return dict(sig), 1, x, 0, 1
     place = {}  # vertex -> (its cycle, its position there)
     for cyc in cycles(sig):
         for i, w in enumerate(cyc):
@@ -358,10 +366,10 @@ def _swap_ends(p):
 def _case_fixed_point(g, sig, depth):
     fixed = [v for v in g.vertices if sig[v] == v]
     for x in fixed:
-        rest = [v for v in g.vertices if v != x]
-        sub = g.induced(rest)
-        if is_connected(sub):
-            return _realize(sub, {v: sig[v] for v in rest}, depth - 1)
+        if is_connected_without(g, x):
+            rest = [v for v in g.vertices if v != x]
+            return _realize(g.induced(rest), {v: sig[v] for v in rest},
+                            depth - 1)
     # every fixed point cuts the graph: peel component swaps off sig until
     # the residue fixes each component of g - x, then recurse per component
     x = fixed[0]

@@ -324,22 +324,27 @@ def girth(g):
 def square(g):
     """Same vertices; edge between any two vertices at distance 1 or 2.
 
-    Raises ValueError as soon as the edges collected exceed ``MAX_EDGES``,
-    before the graph is built: the square of a star on 10,000 vertices
-    would have about 50 million.
+    Raises ValueError as soon as the adjacency collected holds more than
+    ``MAX_EDGES`` edges, before the graph is built: the square of a star
+    on 10,000 vertices would have about 50 million.
     """
-    edges = []
+    adj = {}
+    ends = 0  # degree sum: at most twice the edges met, twice all at the end
     for v in g.vertices:
-        reach = set(g.adj[v])
-        for u in g.adj[v]:
-            reach.update(g.adj[u])
+        ns = g.adj[v]
+        reach = set(ns)
+        for u in ns:
+            reach |= g.adj[u]
         reach.discard(v)
-        edges.extend((v, w) for w in reach if v < w)
-        if len(edges) > MAX_EDGES:
+        adj[v] = frozenset(reach)
+        ends += len(reach)
+        if ends > 2 * MAX_EDGES:
             raise ValueError(
                 f"the square has more than MAX_EDGES = {MAX_EDGES} edges"
             )
-    return Graph(g.vertices, edges)
+    sq = Graph.__new__(Graph)
+    sq._fill(g.vertices, adj)
+    return sq
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +441,22 @@ def complement(g):
 
 def is_connected(g):
     return len(distances_from(g, g.vertices[0])) == g.n
+
+
+def is_connected_without(g, x):
+    """Whether g minus vertex x is connected (g must have another vertex);
+    the same verdict as is_connected on the induced subgraph, without
+    building it."""
+    start = g.vertices[1] if g.vertices[0] == x else g.vertices[0]
+    seen = {x, start}
+    todo = [start]
+    adj = g.adj
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == g.n
 
 
 def components(g):

@@ -374,8 +374,8 @@ def compile_automorphism_to_square_moves(g, sigma, board_desc=None):
 
 def format_certificate(cert):
     for d in (cert.board_desc, cert.pebbles_desc):
-        # the header is whitespace-split on parse
-        if not d or any(c.isspace() for c in d):
+        # the header is whitespace-split on parse, so d must split to itself
+        if d.split() != [d]:
             raise ValueError(
                 f"graph descriptor {d!r} cannot appear in a certificate "
                 f"header; use a whitespace-free descriptor"

@@ -26,6 +26,7 @@ from pebblex.graphs import (
     is_2connected,
     is_bipartite,
     is_connected,
+    is_connected_without,
     is_cycle,
     is_theta_122,
     is_tree,
@@ -37,6 +38,7 @@ from pebblex.graphs import (
     star,
     theta_122,
 )
+from pebblex.catalog import connected_graphs, trees
 from pebblex.puzzle import Puz
 from pebblex.squares import compile_automorphism_to_square_moves
 
@@ -169,6 +171,35 @@ def test_square():
     assert square(cycle(5)).m == 10  # becomes K5
 
 
+def _with_gapped_labels(graphs):
+    for g in graphs:
+        yield g
+        yield g.relabeled({v: 3 * v + 1 for v in g.vertices})
+
+
+def _square_by_distances(g):
+    # the definition: every pair at distance 1 or 2, through Graph.__init__
+    return Graph(g.vertices, [
+        (u, v) for u in g.vertices
+        for v, d in distances_from(g, u).items() if u < v and d <= 2
+    ])
+
+
+def test_square_matches_the_pairs_at_distance_two():
+    boards = [g for n in range(1, 8) for g in connected_graphs(n)]
+    boards += [t for n in range(1, 10) for t in trees(n)]
+    boards.append(Graph([2, 5, 9], [(2, 9)]))  # an isolated vertex
+    for g in _with_gapped_labels(boards):
+        sq, want = square(g), _square_by_distances(g)
+        assert sq.vertices == want.vertices
+        assert sq.adj == want.adj
+        assert all(type(ns) is frozenset for ns in sq.adj.values())
+        assert sq.m == want.m
+        assert sq.edges() == want.edges()
+        assert [sq.index_of(v) for v in sq.vertices] == list(range(g.n))
+        assert sq == want and hash(sq) == hash(want)
+
+
 def test_distances():
     g = cycle(6)
     d = distances_from(g, 1)
@@ -197,6 +228,18 @@ def test_predicates():
     assert is_cycle(cycle(7)) and not is_cycle(path(7))
     assert is_tree(star(5)) and not is_tree(cycle(4))
     assert components(Graph([1, 2, 3, 4], [(1, 3)])) == [(1, 3), (2,), (4,)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_connected_without_matches_the_induced_subgraph(n):
+    for g in _with_gapped_labels(connected_graphs(n)):
+        for x in g.vertices:
+            want = is_connected(g.induced(set(g.vertices) - {x}))
+            assert is_connected_without(g, x) == want
+    # a disconnected graph stays so unless x was all of one side
+    g = Graph([1, 2, 3, 4], [(1, 2), (2, 3)])
+    assert [is_connected_without(g, x) for x in g.vertices] == [
+        False, False, False, True]
 
 
 def test_connectivity_structure():

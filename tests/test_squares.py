@@ -240,14 +240,22 @@ def test_certificate_round_trip_is_byte_identical():
     assert format_certificate(back) == text
 
 
-def test_format_certificate_rejects_whitespace_descriptors():
+@pytest.mark.parametrize("desc", [
+    "my graph^2", "my\tgraph^2", "my\ngraph^2", "my\u00a0graph^2",
+    "p3^2\n", " p3^2", "",
+])
+@pytest.mark.parametrize("side", ["board", "pebbles"])
+def test_format_certificate_rejects_whitespace_descriptors(desc, side):
     cert = seq_A(3)
-    bad = MoveCertificate(
-        cert.puz, cert.start, cert.end, cert.moves,
-        board_desc="my graph^2", pebbles_desc=cert.pebbles_desc,
-    )
-    with pytest.raises(ValueError):
+    descs = {"board_desc": cert.board_desc, "pebbles_desc": cert.pebbles_desc}
+    descs[side + "_desc"] = desc
+    bad = MoveCertificate(cert.puz, cert.start, cert.end, cert.moves, **descs)
+    with pytest.raises(ValueError) as exc:
         format_certificate(bad)
+    assert str(exc.value) == (
+        f"graph descriptor {desc!r} cannot appear in a certificate header; "
+        f"use a whitespace-free descriptor"
+    )
 
 
 def test_parse_certificate_reports_line_numbers():
