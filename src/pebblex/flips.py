@@ -93,8 +93,7 @@ def _flip_in_place(board, pebbles, cfg, path):
                 f"pebbles {a} and {b} along flip path {path} are not "
                 f"adjacent in the pebble graph"
             )
-    for v, p in zip(path, reversed(pebs)):
-        cfg[v] = p
+    cfg.update(zip(path, reversed(pebs)))
 
 
 def apply_flip(puz, config, path):

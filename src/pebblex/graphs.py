@@ -55,8 +55,8 @@ class Graph:
         adjacency that are already known to be valid."""
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "_m", sum(len(ns) for ns in adj.values()) // 2)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
+        object.__setattr__(self, "_m", sum(map(len, adj.values())) // 2)
+        object.__setattr__(self, "_index", dict(zip(vs, range(len(vs)))))
         object.__setattr__(self, "_edges", None)  # edges() fills it
 
     def __setattr__(self, name, value):
@@ -439,16 +439,10 @@ def complement(g):
 # ---------------------------------------------------------------------------
 # predicates and structure
 
-def is_connected(g):
-    return len(distances_from(g, g.vertices[0])) == g.n
-
-
-def is_connected_without(g, x):
-    """Whether g minus vertex x is connected (g must have another vertex);
-    the same verdict as is_connected on the induced subgraph, without
-    building it."""
-    start = g.vertices[1] if g.vertices[0] == x else g.vertices[0]
-    seen = {x, start}
+def _reach(g, start, seen):
+    """Add to ``seen`` every vertex that start reaches without passing
+    through it; returns seen."""
+    seen.add(start)
     todo = [start]
     adj = g.adj
     while todo:
@@ -456,7 +450,19 @@ def is_connected_without(g, x):
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
-    return len(seen) == g.n
+    return seen
+
+
+def is_connected(g):
+    return len(_reach(g, g.vertices[0], set())) == g.n
+
+
+def is_connected_without(g, x):
+    """Whether g minus vertex x is connected (g must have another vertex);
+    the same verdict as is_connected on the induced subgraph, without
+    building it."""
+    start = g.vertices[1] if g.vertices[0] == x else g.vertices[0]
+    return len(_reach(g, start, {x})) == g.n
 
 
 def components(g):
@@ -464,7 +470,7 @@ def components(g):
     left = set(g.vertices)
     out = []
     while left:
-        comp = set(distances_from(g, min(left)))
+        comp = _reach(g, min(left), set())
         out.append(tuple(sorted(comp)))
         left -= comp
     return out
