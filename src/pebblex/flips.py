@@ -262,7 +262,7 @@ def _select_dict(g, sig):
     such vertex exists.
     """
     for x in g.vertices:
-        if sig[x] == x:  # (0, 1, 1, x) is the least key there is
+        if sig[x] == x:
             return dict(sig), 1, x, 0, 1
     place = {}  # vertex -> (its cycle, its position there)
     for cyc in cycles(sig):

@@ -324,9 +324,10 @@ def girth(g):
 def square(g):
     """Same vertices; edge between any two vertices at distance 1 or 2.
 
-    Raises ValueError as soon as the adjacency collected holds more than
-    ``MAX_EDGES`` edges, before the graph is built: the square of a star
-    on 10,000 vertices would have about 50 million.
+    Raises ValueError when the square has more than ``MAX_EDGES`` edges,
+    checked while the adjacency is collected and before the graph is
+    built: the square of a star on 10,000 vertices would have about 50
+    million.
     """
     adj = {}
     ends = 0  # degree sum: at most twice the edges met, twice all at the end
@@ -440,8 +441,8 @@ def complement(g):
 # predicates and structure
 
 def _reach(g, start, seen):
-    """Add to ``seen`` every vertex that start reaches without passing
-    through it; returns seen."""
+    """Add start to ``seen``, then every vertex reachable from it on paths
+    that avoid what seen already held; returns seen."""
     seen.add(start)
     todo = [start]
     adj = g.adj
