@@ -16,18 +16,19 @@ board path.  ``_search`` runs one of two level loops, chosen from the number
 of vertices n in ``_engine``:
 
 * n <= 7: states are lexicographic ranks of permutations.  A table of all
-  n! permutations and a swap table are built once per n and shared by
-  every instance.  A swap-table entry carries both the rank a permutation
-  moves to under a position swap and the pebble pair on those two
-  positions, so a level reads legality and children from one gather of
-  swap-table rows.  A path reversal is at most n // 2 disjoint swaps, so a
-  child's rank is that many swap-table lookups, and each level is marked
-  in an n!-entry array.  A pebble-swap search derives from the swap table
-  a child table for its own instance, one child rank per (rank, board
-  edge), and from then on reads each level as one gather of table rows.
-  It builds the table at its first level up to 6 vertices; at 7 it starts
-  without one and builds it once it has visited n! / 128 states, since a
-  7-vertex table costs more than a whole small search.
+  n! permutations and two narrow swap tables are built once per n and
+  shared by every instance.  For each permutation and position swap they
+  hold the int16 rank the permutation moves to and the uint8 pebble pair
+  on those two positions, so a level reads legality and children from one
+  gather of rows of each.  A path reversal is at most n // 2 disjoint
+  swaps, so a child's rank is that many swap-table lookups, and each level
+  is marked in an n!-entry array.  A pebble-swap search derives a child
+  table for its own instance, one child rank per (board edge, rank), by
+  copying one edge-major row of each swap table per board edge, and from
+  then on reads each whole level as one gather of that table.  It builds
+  the table at its first level up to 6 vertices; at 7 it starts without
+  one and builds it once it has visited n! / 128 states, since a 7-vertex
+  table costs more than a whole small search.
 * n > 7: each configuration packs into one sortable key, an int64 with 4
   bits per position up to 15 vertices and an n-byte string beyond.  A
   block of a level reads each board edge's pebble pair code once per
@@ -39,8 +40,9 @@ of vertices n in ``_engine``:
   of the two levels before it only; a pebble swap flips the sign of the
   configuration, so a pebble-swap search needs level L - 1 alone.
 
-Both loops answer every query, and test each board edge once per state
-before each move ANDs the edges it steps on.  Only a witness query records
+Both loops answer every query, test each board edge once per state
+before each move ANDs the edges it steps on, and stop once they have
+visited all n! configurations.  Only a witness query records
 parents, an int32 parent and a move index per state: it takes children in
 (frontier row, move) order and keeps each frontier in discovery order, so
 its move lists are those of a plain first-discovery BFS.  Every other query
@@ -63,12 +65,14 @@ from .perms import GroupSummary, automorphisms, compose, inverse
 
 DEFAULT_CAP = 50_000_000
 
-# Rank tables cost n! * (C(n,2) + 1) int32 swap entries: 0.4 MB at n = 7,
-# 4.5 MB at n = 8 and 52 MB at n = 9.  An entry packs a rank shifted left
-# by 8 bits with a pebble pair code under 256, which fits int32 up to
-# n = 10.  The limit of 7 is a choice, not a measured optimum.  With the
-# limit at 8, against the packed search below, on a 2-vCPU VM (medians of
-# 20 warm calls, one process per board): reachable_count of Q3 (744 states) took 1.0 ms ranked and 3.7-4.0 ms
+# Rank tables cost n! * (C(n,2) + 1) swap entries of an int16 child rank
+# and a uint8 pebble pair code, each held row-major and edge-major: 6 bytes
+# per entry, 0.67 MB at n = 7, 7.0 MB at n = 8 and 81 MB at n = 9.  int16
+# holds every rank up to n = 7 only (8! - 1 = 40,319 needs int32), and the
+# rank tables' test checks that for the limit below.  The limit of 7 is a
+# choice, not a measured optimum.  With the limit at 8 and the tables then
+# one int32 entry each, against the packed search below, on a 2-vCPU VM
+# (medians of 20 warm calls, one process per board): reachable_count of Q3 (744 states) took 1.0 ms ranked and 3.7-4.0 ms
 # packed, and of Puz(Q3, star7) (20,160 states) 10.2-10.7 ms ranked and
 # 17.5-18.1 ms packed; but the first ranked call built the n = 8 tables in
 # 87-100 ms, and peak RSS was 38.0 MB ranked and 32.5-33.3 MB packed (31.5
@@ -177,29 +181,30 @@ def replay(puz, start, moves):
 # ---------------------------------------------------------------------------
 # breadth-first search: one move model, two level loops
 
-# (frontier row, move) cells per block of a level: one block holds 256 KB
-# per int32 array and 512 KB per index array.  The whole flip space of K7
-# (5,040 states, 6,846 paths) then peaks about 5 MB above where it started,
-# where one unblocked level would take 276 MB per int64 array; 2**20 cells
-# peaked 60 MB higher and ran no faster.
+# (frontier row, move) cells per block of a level: one block holds 128 KB
+# per int16 array and 512 KB per int64 or index array.  The whole flip
+# space of K7 (5,040 states, 6,846 paths) then peaks about 5 MB above where
+# it started, where one unblocked level would take 276 MB per int64 array;
+# 2**20 cells peaked 60 MB higher and ran no faster.
 _BLOCK_CELLS = 1 << 16
 # A ranked pebble-swap search reads its levels from a per-call child table
-# of n! * E int32 child ranks, E the board edges.  A table that fits one
+# of E * n! int16 child ranks, E the board edges.  A table that fits one
 # block (n! * C(n,2) cells, n <= 6) is built at the first level: it costs
-# about two or three block-body levels, and starting without it made the
-# 6-vertex feasibility items 4% slower.  The n = 7 table, up to 5,040 * 21
-# cells (423 KB), is built once the search has visited n! / _TABLE_SHARE
+# 12-36 us, about two block-body levels, and starting without it made the
+# 6-vertex feasibility items 4% slower.  The n = 7 table, up to 21 * 5,040
+# cells (212 KB), is built once the search has visited n! / _TABLE_SHARE
 # states (40); only counts decide, so which path a search takes is fixed.
-# Measured on a 2-vCPU VM: the build costs 4-5 ns per cell (180-360 us at
-# n = 7), and a level read from the table costs about 6 us less, plus 6 ns
-# less per (state, edge) cell, than the block body.  So a table repays its
-# build over about 3/4 of n! expanded states: searches that cover n! gain
-# (96% of the 7,287 seven-vertex searches of verify_examples_agreement),
-# while one that ends between n! / 128 and about 3/4 of n! states pays the
-# build without repaying it.  Waiting for n! / 128 states forfeits a full
-# search's saving on under 1% of its cells and on its first 3-4 levels,
-# and spares every search that ends before then the build, which costs two
-# to three times a whole 30-state search.
+# Measured on a 2-vCPU VM (three runs, min of 21 interleaved rounds per
+# search): the n = 7 build costs 2-3 ns per cell (78-212 us).  Built at 40
+# states, a table costs full searches a median 2% against one built at the
+# start and saves them 21-58% (median 36%) against none, and every search
+# that ends sooner is spared the build, which would double a 30-state
+# search (c7: 60 us, 117 with it).  Searches that end between 40 and 420
+# states pay 30-150 us more than with no table, and 840-state ones about
+# break even.  Building once a level holds 128-256 states spares those, but
+# full searches were slower in 33 of 36 such runs (median 7.5%) and a
+# 2,520-state search of 37 levels 33-96% slower; full searches are 96% of
+# the 7,287 seven-vertex searches of verify_examples_agreement.
 _TABLE_SHARE = 128
 
 
@@ -310,9 +315,12 @@ def _first_occurrences(keys):
 class _RankTables(NamedTuple):
     perms: np.ndarray  # (n!, n) uint8: every permutation of range(n), lexicographic
     keys: np.ndarray  # (n!,) int64: each row packed by ``_keys``, ascending
-    swap: np.ndarray  # (n!, C(n,2) + 1) int32: rank << 8 | code, the rank of
-    # the row with two positions a, b swapped and the pebble pair code
-    # d_a * n + d_b of the row itself; the last column is the rank itself
+    child: np.ndarray  # (n!, C(n,2) + 1) int16: the rank of the row with the two
+    # positions a, b of a swap column swapped; the last column is the rank itself
+    code: np.ndarray  # (n!, C(n,2) + 1) uint8: the pebble pair code d_a * n + d_b
+    # of the row itself; 0, a pair that is never adjacent, in the last column
+    child_cols: np.ndarray  # (C(n,2) + 1, n!): ``child`` and ``code`` edge-major,
+    code_cols: np.ndarray  # one contiguous row per swap column
     pair: np.ndarray  # (n, n): the swap column of positions i, j (the last if i == j)
 
 
@@ -329,14 +337,16 @@ def _rank_tables(n):
     cols = np.arange(i.size)
     pair = np.full((n, n), i.size, dtype=np.intp)
     pair[i, j] = pair[j, i] = cols
-    swap = np.empty((len(perms), i.size + 1), dtype=np.int32)
+    child = np.empty((i.size + 1, len(perms)), dtype=np.int16)
+    code = np.zeros((i.size + 1, len(perms)), dtype=np.uint8)
     for col, a, b in zip(cols, i, j):
         # swapping positions a and b moves digit d_b to a and d_a to b;
         # the lexicographic list is sorted by key, so a key's index is its rank
         delta = (perms[:, b].astype(np.int64) - perms[:, a]) * (weight[a] - weight[b])
-        swap[:, col] = keys.searchsorted(keys + delta) << 8 | perms[:, a] * n + perms[:, b]
-    swap[:, -1] = np.arange(len(perms)) << 8
-    tables = _RankTables(perms, keys, swap, pair)
+        child[col] = keys.searchsorted(keys + delta)
+        code[col] = perms[:, a] * n + perms[:, b]
+    child[-1] = np.arange(len(perms))
+    tables = _RankTables(perms, keys, child.T.copy(), code.T.copy(), child, code, pair)
     for table in tables:  # shared by every caller in the process
         table.flags.writeable = False
     return tables
@@ -348,32 +358,32 @@ def _ranks(tables, rows):
 
 
 def _child_table(tables, P, pair_cols, start):
-    """The (n!, E) int32 child ranks of a pebble-swap instance: the rank
-    each board edge's swap leads to, or the start rank where it is illegal."""
-    y = tables.swap.take(pair_cols, axis=1)
-    return np.where(P.take(y & 255), y >> 8, int(start))
+    """The (E, n!) child ranks of a pebble-swap instance, one row per board
+    edge: the rank its swap leads to, or the start rank where it is illegal."""
+    return np.where(P.take(tables.code_cols.take(pair_cols, axis=0)),
+                    tables.child_cols.take(pair_cols, axis=0), int(start))
 
 
 def _ranked_levels(puz, moves, ends, cap, witness):
     """The level loop over permutation ranks, for n <= _RANKED_MAX_N.
 
     A level's children come one of two ways.  The block body: one gather
-    of swap-table rows serves a block of the frontier; the low byte of an
-    edge's column is the pebble pair code that decides its legality, and
-    the high bits of a move's swap columns give its child's rank, one
-    lookup per swap, the padding (0, 0) swaps reading the identity column.
-    Or, for pebble swaps, rows of the ``_child_table``: one int32 child rank
-    per (rank, board edge), the start rank for an illegal swap, which is
-    always seen.  A pebble-swap search builds the table at its first level
-    when it fits one block (n <= 6), and at n = 7 once it has visited
-    n! / _TABLE_SHARE states, so a 7-vertex search may switch part-way;
-    flip paths run the block body.  Without a witness, each level is marked
-    in an n!-entry array and read back in rank order.  With one, children
-    are taken in (frontier row, move) order, each new rank keeps its first
-    discovery with its parent rank and move index, and the frontier stays
-    in discovery order.  Each level reads (row, move) off the way it read
-    its children; the table's illegal cells are seen, so both ways keep the
-    same cells and give the same move lists.
+    of rows of each swap table serves a block of the frontier; the pebble
+    pair code of an edge's column decides its legality, and the child rank
+    of a move's swap columns gives its child's rank, one lookup per swap,
+    the padding (0, 0) swaps reading the identity column.  Or, for pebble
+    swaps, the ``_child_table``: one int16 child rank per (board edge,
+    rank), the start rank for an illegal swap, which is always seen, read
+    for the whole level in one gather.  A pebble-swap search builds the
+    table at its first level when it fits one block (n <= 6), and at n = 7
+    once it has visited n! / _TABLE_SHARE states, so a 7-vertex search may
+    switch part-way; flip paths run the block body.  Without a witness,
+    each level is marked in an n!-entry array and read back in rank order.
+    With one, children are taken in (frontier row, move) order, each new
+    rank keeps its first discovery with its parent rank and move index,
+    and the frontier stays in discovery order.  Each level reads (row,
+    move) off the way it read its children; the table's illegal cells are
+    seen, so both ways keep the same cells and give the same move lists.
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
@@ -389,33 +399,37 @@ def _ranked_levels(puz, moves, ends, cap, witness):
     block = max(1, _BLOCK_CELLS // max(M, 1))
     # the visited count at which a search builds its child table
     table_at = (math.inf if moves.steps is not None  # flip paths: never
-                else 1 if len(seen) * (tables.swap.shape[1] - 1) <= _BLOCK_CELLS
+                else 1 if len(seen) * (tables.child.shape[1] - 1) <= _BLOCK_CELLS
                 else len(seen) / _TABLE_SHARE)
     table = None
     while True:
         _check_cap(count, cap)
-        if not frontier.size or (goal and seen[goal[0]]):
+        if not frontier.size or count == seen.size or (goal and seen[goal[0]]):
             break
         if table is None and count >= table_at:
             table = _child_table(tables, P, pair_cols, start)
         fresh = np.zeros(seen.size, dtype=bool)
         level = []
-        for lo in range(0, frontier.size, block):
-            ranks = frontier[lo: lo + block]
-            if table is not None:  # the children of every (row, move) cell
-                kids = table.take(ranks, axis=0).ravel()
+        # a table level is one gather of the whole frontier, the block body
+        # takes it block by block
+        step = frontier.size if table is not None else block
+        for lo in range(0, frontier.size, step):
+            ranks = frontier[lo: lo + step]
+            if table is not None:  # the children of every (move, row) cell
+                kids = table.take(ranks, axis=1)
             else:  # the children of the legal (row, move) cells
-                x = tables.swap.take(ranks, axis=0)
-                legal = _legal(P.take(x.take(pair_cols, axis=1) & 255), moves)
+                codes = tables.code.take(ranks, axis=0).take(pair_cols, axis=1)
+                legal = _legal(P.take(codes), moves)
                 # each move's first swap over the whole block, the others
                 # only where the move is legal
-                kids = x.take(cols[0], axis=1)[legal] >> 8
+                kids = tables.child.take(ranks, axis=0).take(cols[0], axis=1)[legal]
                 if witness or len(cols) > 1:
                     row, move = _cells(legal)
                 for col in cols[1:]:
-                    kids = tables.swap[kids, col[move]] >> 8
+                    kids = tables.child[kids, col[move]]
             if witness:
-                cell = np.flatnonzero(~seen[kids])
+                kids = kids.ravel(order="F")  # (row, move) order
+                cell = np.flatnonzero(~seen.take(kids))
                 cell = cell[_first_occurrences(kids[cell])]
                 kids = kids[cell]
                 seen[kids] = True
@@ -425,8 +439,8 @@ def _ranked_levels(puz, moves, ends, cap, witness):
                 parent[kids] = ranks[row]
                 via[kids] = move
                 level.append(kids)
-            else:
-                fresh[kids] = True
+            else:  # an intp index scatters about twice as fast as an int16 one
+                fresh[kids.astype(np.intp)] = True
         if witness:
             frontier = np.concatenate(level)
         else:
@@ -547,9 +561,11 @@ def _packed_levels(puz, moves, ends, cap, witness):
     visits = [(frontier, None, None)]  # with a witness: keys, parent, move
     count = 1
     block = max(1, _BLOCK_CELLS // max(moves.swaps.shape[1], 1))
+    total = math.factorial(n)
     while True:
         _check_cap(count, cap)
-        if not frontier.size or (goal and not _absent(np.array(goal), levels[-1:])[0]):
+        if (not frontier.size or count == total
+                or (goal and not _absent(np.array(goal), levels[-1:])[0])):
             break
         near = levels[-2:-1] if moves.steps is None else levels[-2:]
         parts = []

@@ -18,6 +18,7 @@ from pebblex.graphs import (
     Graph,
     cartesian_product,
     complete,
+    complete_multipartite,
     cycle,
     hypercube,
     path,
@@ -693,18 +694,55 @@ def test_int64_and_byte_keys_agree(pz, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, _p._RANKED_MAX_N + 1))
 def test_a_swap_entry_packs_the_child_rank_over_the_pebble_pair_code(n):
+    # an entry is a child rank in ``child`` beside a pebble pair code in
+    # ``code``, each kept row-major and edge-major
     tables = _p._rank_tables(n)
-    perms, swap = tables.perms, tables.swap
+    perms, child, code = tables.perms, tables.child, tables.code
     for a, b in itertools.combinations(range(n), 2):
         col = tables.pair[a, b]
         swapped = perms.copy()
         swapped[:, [a, b]] = perms[:, [b, a]]
-        assert (swap[:, col] >> 8).tolist() == _p._ranks(tables, swapped).tolist()
-        assert (swap[:, col] & 255).tolist() == (perms[:, a] * n + perms[:, b]).tolist()
-    assert (swap[:, -1] >> 8).tolist() == list(range(math.factorial(n)))
+        assert child[:, col].tolist() == _p._ranks(tables, swapped).tolist()
+        assert code[:, col].tolist() == (perms[:, a] * n + perms[:, b]).tolist()
+    assert child[:, -1].tolist() == list(range(math.factorial(n)))
+    for rows, cols in ((child, tables.child_cols), (code, tables.code_cols)):
+        assert rows.flags.c_contiguous and cols.flags.c_contiguous
+        assert np.array_equal(rows.T, cols)
     assert not any(table.flags.writeable for table in tables)
-    # one int32 entry per (permutation, swap column): no second table
-    assert swap.nbytes == math.factorial(n) * (math.comb(n, 2) + 1) * 4
+    # two bytes of child rank and one of pair code per (permutation, swap
+    # column), in each of the two layouts
+    entries = math.factorial(n) * (math.comb(n, 2) + 1)
+    assert ([t.nbytes for t in (child, code, tables.child_cols, tables.code_cols)]
+            == [2 * entries, entries, 2 * entries, entries])
+    # the narrow dtypes hold every rank and code up to the ranked limit
+    top = _p._RANKED_MAX_N
+    assert np.iinfo(child.dtype).max >= math.factorial(top) - 1
+    assert np.iinfo(code.dtype).max >= top * top - 1
+
+
+@pytest.mark.parametrize("pz", [
+    puz_on(complete(5)),
+    puz_on(complete(7)),
+    puz_on(complete(8)),  # the packed loop
+    Puz(graph_from_desc("p6^2"), complete_multipartite((1, 5))),  # a Wilson item
+], ids=["k5", "k7", "k8", "p6^2/star"])
+def test_a_search_stops_once_it_has_visited_every_configuration(pz, monkeypatch):
+    total = math.factorial(pz.n)
+    everything = frozenset(itertools.permutations(pz.pebbles.vertices))
+    counts = []
+    check_cap = _p._check_cap
+    monkeypatch.setattr(_p, "_check_cap",
+                        lambda count, cap: (counts.append(count), check_cap(count, cap)))
+    for witness in (False, True):
+        counts.clear()
+        search = _p._search(pz, None, _p.DEFAULT_CAP, witness=witness)
+        # the cap is checked once at n!, and no level is expanded after it
+        assert counts[-1] == search.count == total and counts.count(total) == 1
+        assert search.states() == everything
+        with pytest.raises(CapExceededError) as exc:
+            _p._search(pz, None, total - 1, witness=witness)
+        assert str(exc.value) == f"visited {total} configurations, cap is {total - 1}"
+        assert _p._search(pz, None, total, witness=witness).count == total
 
 
 @pytest.mark.parametrize("n", range(1, 7))
