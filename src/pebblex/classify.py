@@ -247,8 +247,9 @@ def verify_prop2(g, cap=puzzle.DEFAULT_CAP, label=None):
     t0 = time.perf_counter()
     g = relabel_dense(g)
     oracle = girth5_reachable_oracle(g)
-    search = puzzle._search(puzzle.puz_on(g), None, cap)
-    peb = search.reached(automorphisms(g))
+    auts = automorphisms(g)
+    search = puzzle._search(puzzle.puz_on(g), None, cap, probes=[*auts, *oracle])
+    peb = search.reached(auts)
     # equal sizes, and every oracle configuration reached: equal sets
     same = search.count == len(oracle) == len(search.reached(oracle))
     verdict = same and peb == [tuple(g.vertices)]
@@ -337,7 +338,7 @@ def verify_square_lemma(max_n=12, bfs_max_n=7, via="recursive", cap=puzzle.DEFAU
         if len(cert.moves) != squares.sequence_length(n):
             failures.append({"n": n, "error": "length formula mismatch"})
         if n <= bfs_max_n:
-            search = puzzle._search(cert.puz, None, cap)
+            search = puzzle._search(cert.puz, None, cap, probes=[cert.end])
             bfs_states += search.count
             if not search.reached([cert.end]):
                 failures.append({"n": n, "error": "endpoint not reachable by BFS"})
@@ -374,7 +375,7 @@ def _over_connected_boards(worker, max_n, jobs, *args):
 def _flip_worker(g, oracle_max_n, cap):
     edges = g.edges()
     auts = automorphisms(g)
-    reach = (set(_flip_bfs(g, None, cap).reached(auts))
+    reach = (set(_flip_bfs(g, None, cap, probes=auts).reached(auts))
              if g.n <= oracle_max_n else None)
     realized = 0
     confirmed = 0

@@ -35,18 +35,26 @@ of vertices n in ``_engine``:
   state, and that one gather gives both legality and the children: an
   int64 child key is its parent's key plus one table entry per swap of its
   move, read at the swap's pebble pair code, taken for the legal moves
-  only.  A move undoes itself, so a child of level L lies on level L - 1,
-  L or L + 1, and each new level is deduplicated against the sorted keys
-  of the two levels before it only; a pebble swap flips the sign of the
-  configuration, so a pebble-swap search needs level L - 1 alone.
+  only.  A move undoes itself, so each state of a new level records its
+  back moves, the moves of the cells that found it, which are exactly its
+  moves to the level before; its expansion skips them, so no child lies
+  on an older level and no search reads one.  A pebble swap flips the
+  sign of the configuration, so every child of a pebble-swap level is
+  new; a flip child may also lie on its parent's level, and a flip search
+  drops those.  The moves ride through the level's one sort of child
+  keys.
 
-Both loops answer every query, test each board edge once per state
-before each move ANDs the edges it steps on, and stop once they have
-visited all n! configurations.  Only a witness query records
-parents, an int32 parent and a move index per state: it takes children in
-(frontier row, move) order and keeps each frontier in discovery order, so
-its move lists are those of a plain first-discovery BFS.  Every other query
-keeps no parents, and its frontiers run in rank or key order.
+Both loops test each board edge once per state before each move ANDs the
+edges it steps on, and stop once they have visited all n!
+configurations.  A search keeps its visited record for questions asked
+afterwards: the n! rank marks, or every packed level's sorted keys.  A
+search told its probes, the configurations it will be asked about,
+checks each packed level against them as it lands and keeps no level
+that it no longer expands.  Only a witness query records parents, an
+int32 parent and a move index per state: it takes children in (frontier
+row, move) order and keeps each frontier in discovery order, so its move
+lists are those of a plain first-discovery BFS.  Every other query keeps
+no parents, and its frontiers run in rank or key order.
 """
 
 from __future__ import annotations
@@ -81,6 +89,7 @@ DEFAULT_CAP = 50_000_000
 # n = 9 was not measured.
 _RANKED_MAX_N = 7
 _INT64_MAX_N = 15  # 4-bit digits: 15 positions take 60 bits of an int64 key
+_MAX_N = 256  # a position and a pebble index each fit one byte
 
 
 @dataclass(frozen=True)
@@ -364,7 +373,7 @@ def _child_table(tables, P, pair_cols, start):
                     tables.child_cols.take(pair_cols, axis=0), int(start))
 
 
-def _ranked_levels(puz, moves, ends, cap, witness):
+def _ranked_levels(puz, moves, ends, cap, witness, probes):
     """The level loop over permutation ranks, for n <= _RANKED_MAX_N.
 
     A level's children come one of two ways.  The block body: one gather
@@ -384,6 +393,7 @@ def _ranked_levels(puz, moves, ends, cap, witness):
     and the frontier stays in discovery order.  Each level reads (row,
     move) off the way it read its children; the table's illegal cells are
     seen, so both ways keep the same cells and give the same move lists.
+    The marks answer any query, so ``probes`` changes nothing here.
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
@@ -488,18 +498,31 @@ def _steps(moves, n):
     return ((code % n - code // n) * (weight[moves.I] - weight[moves.J])[:, None]).ravel()
 
 
-def _children(keys, rows, moves, P, steps):
+def _move_bits(n, M):
+    """The low bits of an int64 key that carry a move index below M, or
+    None where they do not fit: 4n key bits and these pass 63, or the
+    keys of n positions are bytes."""
+    bits = max(M - 1, 0).bit_length()
+    return bits if n <= _INT64_MAX_N and 4 * n + bits <= 63 else None
+
+
+def _children(keys, rows, moves, P, steps, back):
     """The legal (row, move) cells of a block of states and their
     children's keys, in cell order, from one gather of the block's pebble
     pair codes, one per (row, pair column).  The codes of the board edges
-    give legality.  An int64 child key is its parent's plus one ``_steps``
+    give legality, and the cells of ``back``, flat row * M + move indexes,
+    are skipped.  An int64 child key is its parent's plus one ``_steps``
     entry per swap of its move, read at the swap's pair column and code.
     A byte key's child row is a copy of its parent's with the move's swaps
     made.  Returns (keys, row, move)."""
     n = rows.shape[1]
     pairs = rows.astype(np.intp) if n > 16 else rows  # uint8 codes would wrap
     codes = pairs[:, moves.I] * n + pairs[:, moves.J]
-    row, move = _cells(_legal(P.take(codes), moves))
+    # the block's own (row, move) mask; flip masks come back transposed,
+    # and the flat nonzero below would copy them row-major anyway
+    legal = np.ascontiguousarray(_legal(P.take(codes), moves))
+    legal.ravel()[back] = False
+    row, move = _cells(legal)
     if keys.dtype.kind == "V":
         kids = rows.take(row, axis=0)
         flat = kids.ravel()
@@ -519,12 +542,6 @@ def _children(keys, rows, moves, P, steps):
     return kids, row, move
 
 
-def _distinct(keys):
-    # stable: half the default sort's time on byte keys of p16^2
-    keys = np.sort(keys, kind="stable" if keys.dtype.kind == "V" else None)
-    return keys[_run_starts(keys)]
-
-
 def _absent(keys, near):
     """Mask of the keys found in none of the sorted arrays ``near``."""
     keep = np.ones(keys.size, dtype=bool)
@@ -534,62 +551,102 @@ def _absent(keys, near):
     return keep
 
 
-def _packed_levels(puz, moves, ends, cap, witness):
+def _packed_levels(puz, moves, ends, cap, witness, probes):
     """The level loop over packed keys, for n > _RANKED_MAX_N.
 
     Each block of a frontier goes through ``_children``: one gather of
     pebble pair codes, legality from the edge codes, and child keys for the
-    legal (row, move) cells only.  A move undoes itself (the pebble matrix
-    is symmetric), so the children of level L lie on level L - 1, L or
-    L + 1, and are checked against the sorted keys of levels L - 1 and L
-    only.  A pebble swap is a transposition, which flips the sign of the
-    configuration, so its children never lie on level L: a pebble-swap
-    search checks them against level L - 1 alone.  A flip reverses a
+    legal (row, move) cells only.  A move undoes itself, and it is legal at
+    its child exactly when it is legal at its parent (the pebble matrix is
+    symmetric), so the moves that lead a state of level L + 1 back to level
+    L are exactly the moves of the level-L cells that found it.  Each new
+    state records those back moves, as ascending flat row * M + move cells
+    of its level, and its expansion skips them: no child then lies on level
+    L - 1, and no search reads an older level.  A pebble swap is a
+    transposition, which flips the sign of the configuration, so every
+    child of a pebble-swap level lies on the next.  A flip reverses a
     k-vertex path, k // 2 swaps, which keep the sign when k // 2 is even,
-    so flip searches check both.  Without a witness, each frontier is its
-    level's sorted keys.  With one, children are taken in (frontier row,
-    move) order, each new key keeps its first discovery with its parent's
-    index in the frontier and its move index, read off the block's cells,
-    and the frontier stays in discovery order.
+    so a flip search drops the children found among level L's sorted keys.
+    The moves ride through the level's one sort: in the low bits of int64
+    child keys where ``_move_bits`` fits them, by a stable argsort of the
+    keys otherwise.  Without a witness, each frontier is its level's sorted
+    keys.  With one, children are taken in (frontier row, move) order, each
+    new key keeps its first discovery with its parent's index in the
+    frontier and its move index, and the frontier stays in discovery order.
+
+    An open search keeps every level's sorted keys, for ``reached`` and
+    ``states``.  A probe search, given the rows of ``probes``, keeps only
+    the probes that each level holds: it holds the frontier with its back
+    cells and the level being found, the window its own dedup reads.
     """
     n = puz.n
     P = _pebble_matrix(puz)
     steps = _steps(moves, n)
+    M = moves.swaps.shape[1]
+    bits = None if witness else _move_bits(n, M)
     start, *goal = _keys(ends)
-    levels = [np.array([start])]  # each level's keys, sorted
-    frontier = levels[0]
+    frontier = level = np.array([start])  # level: the frontier's keys, sorted
+    back = np.zeros(0, dtype=np.int64)  # the frontier's back cells, ascending
+    probes = None if probes is None else np.sort(_keys(probes))
+    levels = []  # of an open search: each level's keys, sorted
+    found = None if probes is None else np.zeros(probes.size, dtype=bool)
     visits = [(frontier, None, None)]  # with a witness: keys, parent, move
     count = 1
-    block = max(1, _BLOCK_CELLS // max(moves.swaps.shape[1], 1))
+    block = max(1, _BLOCK_CELLS // max(M, 1))
     total = math.factorial(n)
     while True:
+        if probes is None:
+            levels.append(level)
+        elif probes.size and level.size:
+            found |= level.take(level.searchsorted(probes), mode="clip") == probes
         _check_cap(count, cap)
         if (not frontier.size or count == total
-                or (goal and not _absent(np.array(goal), levels[-1:])[0])):
+                or (goal and not _absent(np.array(goal), [level])[0])):
             break
-        near = levels[-2:-1] if moves.steps is None else levels[-2:]
         parts = []
         for lo in range(0, frontier.size, block):
             keys = frontier[lo: lo + block]
-            kids, row, move = _children(keys, _rows(keys, n), moves, P, steps)
-            if witness:
-                cell = _first_occurrences(kids)
-                cell = cell[_absent(kids[cell], near)]
-                parts.append((kids[cell], (row[cell] + lo).astype(np.int32),
-                              move[cell].astype(np.int32)))
-            else:
-                kids = _distinct(kids)
-                parts.append(kids[_absent(kids, near)])
-        # a key new to two blocks of a level is kept once, at its first
-        if witness:
+            a, b = back.searchsorted([lo * M, (lo + block) * M])
+            kids, row, move = _children(keys, _rows(keys, n), moves, P, steps,
+                                        back[a:b] - lo * M)
+            if moves.steps is not None:  # a flip that keeps the sign keeps the level
+                new = _absent(kids, [level])
+                kids, row, move = kids[new], row[new], move[new]
+            if bits is None:
+                parts.append((kids, row + lo, move))
+            else:  # the move rides in the key's low bits through the sort
+                kids <<= bits
+                kids |= move
+                parts.append(kids)
+        # one sort of the level's cells by child key; a key new to several
+        # cells is kept once, and each of its cells' moves leads back
+        if bits is None:
             kids, row, move = map(np.concatenate, zip(*parts))
-            cell = _first_occurrences(kids) if len(parts) > 1 else slice(None)
-            frontier = kids[cell]
-            visits.append((frontier, row[cell], move[cell]))
-            levels.append(np.sort(frontier))
+            order = np.argsort(kids, kind="stable")
+            keys, via = kids[order], move[order]
         else:
-            frontier = _distinct(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-            levels.append(frontier)
+            keys = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            keys.sort()
+            via = keys & ((1 << bits) - 1)
+            keys >>= bits
+        first = _run_starts(keys)
+        level = keys[first]
+        back = first.cumsum()  # each cell's row in the sorted level, plus 1
+        back -= 1
+        if witness:  # discovery order: each key at its first (row, move) cell
+            firsts = order[first]
+            at = np.argsort(firsts)
+            cell = firsts[at]
+            frontier = kids[cell]
+            visits.append((frontier, row[cell].astype(np.int32),
+                           move[cell].astype(np.int32)))
+            row_of = np.empty_like(at)
+            row_of[at] = np.arange(at.size)
+            back = np.sort(row_of[back] * M + via)
+        else:
+            frontier = level
+            back *= M
+            back += via
         count += frontier.size
 
     def trail(rows):  # of a visited row
@@ -601,7 +658,8 @@ def _packed_levels(puz, moves, ends, cap, witness):
             i = parent[i]
         return out[::-1]
 
-    return (count, lambda rows: ~_absent(_keys(rows), levels),
+    kept = levels if probes is None else [probes[found]]
+    return (count, lambda rows: ~_absent(_keys(rows), kept),
             lambda: _rows(np.concatenate(levels), n), trail)
 
 
@@ -612,7 +670,8 @@ def _engine(n):
 
 class _Search(NamedTuple):
     """What one search visited.  ``reached`` asks the level loop's record,
-    its rank marks or sorted level keys; only ``states`` builds a set."""
+    its rank marks, its sorted level keys or, in a probe search, the probes
+    it found; only ``states`` builds a set."""
 
     count: int  # configurations visited
     reached: Callable[[list], list]  # the given configs it visited, in order
@@ -620,7 +679,7 @@ class _Search(NamedTuple):
     moves_to: Callable  # config -> its paths from the start, or None
 
 
-def _search(puz, start, cap, target=None, witness=False, paths=None):
+def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None):
     """Breadth-first search from ``start`` (None: the identity) in which
     each board path of ``paths`` is a move: it is legal when every pebble
     pair along it is adjacent in the pebble graph, and it reverses the
@@ -632,7 +691,17 @@ def _search(puz, start, cap, target=None, witness=False, paths=None):
     being the first: more than ``cap`` configurations visited raises
     CapExceededError.  Only with ``witness`` are parents recorded; then
     ``moves_to(config)`` gives the paths that first reached config.
+
+    ``probes`` names the configurations the caller will ask ``reached``
+    about.  A search given them checks each level against them as it lands
+    and keeps no level that its dedup does not read; ``reached`` then
+    raises ValueError for any other configuration, and so does ``states``.
+    Without probes every level is kept.  A board of more than _MAX_N
+    vertices raises ValueError before anything is packed.
     """
+    if puz.n > _MAX_N:
+        raise ValueError(f"a search takes boards of at most {_MAX_N} vertices, "
+                         f"this one has {puz.n}")
     start = identity_configuration(puz) if start is None else start
     index = puz.pebbles.index_of
 
@@ -643,12 +712,24 @@ def _search(puz, start, cap, target=None, witness=False, paths=None):
     moves = _moves(_edge_positions(puz), None if paths is None else
                    [[puz.board.index_of(v) for v in p] for p in paths])
     ends = pack([f for f in (start, target) if f is not None])
-    count, contains, rows, trail = _engine(puz.n)(puz, moves, ends, cap, witness)
+    asked = (None if probes is None
+             else {c: k for k, c in enumerate(dict.fromkeys(map(tuple, probes)))})
+    probe_rows = None if asked is None else pack(asked)
+    count, contains, rows, trail = _engine(puz.n)(puz, moves, ends, cap, witness, probe_rows)
+    hits = contains(probe_rows) if asked else ()
 
     def reached(configs):
-        return [c for c, hit in zip(configs, contains(pack(configs))) if hit]
+        if asked is None:
+            return [c for c, hit in zip(configs, contains(pack(configs))) if hit]
+        try:
+            return [c for c in configs if hits[asked[tuple(c)]]]
+        except KeyError as exc:
+            raise ValueError(f"configuration {exc.args[0]} is not among the "
+                             f"probes of this search") from None
 
     def states():
+        if asked is not None:
+            raise ValueError("a search with probes keeps no visited set")
         labels = np.array(puz.pebbles.vertices, dtype=np.int64)
         return frozenset(map(tuple, labels[rows()].tolist()))
 
@@ -668,7 +749,7 @@ def reachable_set(puz, start=None, cap=DEFAULT_CAP):
 
 def reachable_count(puz, start=None, cap=DEFAULT_CAP):
     """Size of the reachable set, without materializing configurations."""
-    return _search(puz, start, cap).count
+    return _search(puz, start, cap, probes=()).count
 
 
 def equivalent(puz, f1, f2, cap=DEFAULT_CAP):
@@ -677,7 +758,7 @@ def equivalent(puz, f1, f2, cap=DEFAULT_CAP):
     f2 = check_configuration(puz, f2)
     if f1 == f2:
         return True
-    return bool(_search(puz, f1, cap, target=f2).reached([f2]))
+    return bool(_search(puz, f1, cap, target=f2, probes=[f2]).reached([f2]))
 
 
 def is_feasible(puz, cap=DEFAULT_CAP):
@@ -724,7 +805,7 @@ def exchange_group_counts(g, cap=DEFAULT_CAP):
     one automorphism search and one BFS.
     """
     auts = automorphisms(g)
-    search = _search(puz_on(g), None, cap)
+    search = _search(puz_on(g), None, cap, probes=auts)
     return GroupSummary.from_elements(search.reached(auts)), len(auts), search.count
 
 
@@ -738,7 +819,7 @@ def is_peb_normal_in_aut(g, cap=DEFAULT_CAP):
             f"automorphism group has {len(auts)} elements, check is capped "
             f"at 200"
         )
-    peb = set(_search(puz_on(g), None, cap).reached(auts))
+    peb = set(_search(puz_on(g), None, cap, probes=auts).reached(auts))
     return all(
         compose(a, compose(p, inverse(a))) in peb for a in auts for p in peb
     )

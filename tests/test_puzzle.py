@@ -639,7 +639,8 @@ def test_int64_child_keys_step_by_the_edge_delta(n):
     # 15 vertices is the widest int64 key; overflow in the delta would
     # show as a key that differs from the reversed row's.  The moves are
     # every swap of the clique K_n and a few longer paths on it; at 16
-    # vertices the byte keys gather their child rows instead
+    # vertices the byte keys gather their child rows instead.  The back
+    # cells given, legal or not, are skipped
     rng = np.random.default_rng(n)
     rows = np.array([rng.permutation(n) for _ in range(40)]
                     + [np.arange(n)[::-1], np.arange(n)], dtype=np.uint8)
@@ -647,18 +648,23 @@ def test_int64_child_keys_step_by_the_edge_delta(n):
     P = P | P.T
     edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
     paths = edges + [tuple(rng.permutation(n)[:k]) for k in range(3, n + 1)]
-    expected = []
-    for row in rows:
-        for p in paths:
-            if all(P[row[a], row[b]] for a, b in zip(p, p[1:])):
-                kid = row.copy()
-                kid[list(p)] = kid[list(p[::-1])]
-                expected.append(kid)
     moves = _p._moves(edges, paths)
     keys = _p._keys(rows)
-    got, _, _ = _p._children(keys, _p._rows(keys, n), moves, P.ravel(), _p._steps(moves, n))
-    assert len(expected) > 500
-    assert got.tolist() == _p._keys(np.array(expected)).tolist()
+    cells = len(rows) * len(paths)
+    for skip in (None, 3):  # no back cells; every third (row, move) cell
+        back = np.arange(0, cells, skip) if skip else np.zeros(0, dtype=np.intp)
+        expected = []
+        for r, row in enumerate(rows):
+            for c, p in enumerate(paths):
+                if (not skip or (r * len(paths) + c) % skip) and all(
+                        P[row[a], row[b]] for a, b in zip(p, p[1:])):
+                    kid = row.copy()
+                    kid[list(p)] = kid[list(p[::-1])]
+                    expected.append(kid)
+        got, _, _ = _p._children(keys, _p._rows(keys, n), moves, P.ravel(),
+                                 _p._steps(moves, n), back)
+        assert len(expected) > 300
+        assert got.tolist() == _p._keys(np.array(expected)).tolist()
 
 
 @pytest.mark.parametrize(
@@ -833,3 +839,124 @@ def test_a_seven_vertex_search_builds_its_child_table_once_it_grows(monkeypatch)
     # flip paths never read a child table
     assert len(flip_reachable_set(theta)) == 4928
     assert len(built) == 1
+
+
+def test_a_search_takes_at_most_256_vertices():
+    # a position and a pebble index each fit one byte; a wider board is
+    # refused before anything is packed, not deep inside numpy
+    wide = puz_on(path(300))
+    ident = identity_configuration(wide)
+    message = "a search takes boards of at most 256 vertices, this one has 300"
+    with pytest.raises(ValueError, match=message):
+        reachable_count(wide, cap=0)
+    with pytest.raises(ValueError, match=message):
+        equivalent(wide, ident, (ident[1], ident[0], *ident[2:]))
+    with pytest.raises(CapExceededError) as exc:
+        reachable_count(puz_on(path(256)), cap=0)
+    assert str(exc.value) == "visited 1 configurations, cap is 0"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_levels_are_the_ranked_levels(n, packed, monkeypatch):
+    # the packed loop skips each state's back cells and the ranked loop
+    # does not: the visited count after every level, read at the cap check,
+    # is the same in both, over pebble swaps and flip paths, with and
+    # without parents, on every connected board against itself, a clique
+    # and a star
+    from pebblex.flips import all_flip_paths
+
+    counts = []
+    check_cap = _p._check_cap
+    monkeypatch.setattr(_p, "_check_cap",
+                        lambda count, cap: (counts.append(count), check_cap(count, cap)))
+
+    def levels(pz, witness, paths):
+        counts.clear()
+        _p._search(pz, None, _p.DEFAULT_CAP, witness=witness, paths=paths)
+        return counts[:]
+
+    for board in connected_graphs(n):
+        flips = all_flip_paths(board)
+        for pebbles in [board, complete(n)] + ([star(n - 1)] if n > 1 else []):
+            pz = Puz(board, pebbles)
+            for witness, paths in itertools.product((False, True), (None, flips)):
+                ranked = levels(pz, witness, paths)
+                with packed():
+                    assert levels(pz, witness, paths) == ranked, (pz, witness, paths)
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_move_bits_fill_63_bits_of_a_key_and_no_more(n, monkeypatch):
+    # K14 against a 7-edge perfect matching: 56 key bits and 7 bits for
+    # one of 91 moves make 63, so the moves ride in the keys through the
+    # sort.  K15 against the matching and an isolated pebble needs 67 and
+    # takes the stable argsort.  Both reach the 2^7 matching swaps
+    pz = Puz(complete(n), Graph(range(1, n + 1), [(k, k + 1) for k in range(1, 14, 2)]))
+    edges = n * (n - 1) // 2
+    assert _p._move_bits(n, edges) == (7 if n == 14 else None)
+
+    def answers():
+        cap_text = None
+        try:
+            reachable_count(pz, cap=127)
+        except CapExceededError as exc:
+            cap_text = str(exc)
+        return reachable_count(pz), reachable_set(pz), cap_text
+
+    count, states, cap_text = answers()
+    assert count == len(states) == 128
+    assert cap_text == "visited 128 configurations, cap is 127"
+    with monkeypatch.context() as m:
+        m.setattr(_p, "_INT64_MAX_N", 0)
+        assert _p._move_bits(n, edges) is None
+        assert answers() == (count, states, cap_text)
+
+
+@pytest.mark.parametrize("flips", [False, True])
+@pytest.mark.parametrize("keys", ["ranks", "int64", "bytes"])
+def test_a_probe_search_answers_as_an_open_search_does(keys, flips, packed, monkeypatch):
+    # ranks (c7), and the same board forced to the packed loop with int64
+    # and with byte keys; the probes mix reached configurations with
+    # others, some given twice, and are asked about in any order and any
+    # subset
+    from pebblex.flips import all_flip_paths
+
+    g = cycle(7)
+    pz = puz_on(g)
+    paths = all_flip_paths(g) if flips else None
+    rng = random.Random(7)
+    reach = sorted(flip_reachable_set(g) if flips else reachable_set(pz))
+    probes = rng.sample(reach, 10) + [tuple(rng.sample(g.vertices, 7)) for _ in range(10)]
+    probes += probes[::7]  # asked twice
+    with contextlib.ExitStack() as stack:
+        if keys != "ranks":
+            stack.enter_context(packed())
+        if keys == "bytes":
+            monkeypatch.setattr(_p, "_INT64_MAX_N", 0)
+        open_search = _p._search(pz, None, 10**6, paths=paths)
+        probe_search = _p._search(pz, None, 10**6, paths=paths, probes=probes)
+    assert probe_search.count == open_search.count == len(reach)
+    for asked in (probes, probes[::-1], probes[3:7], []):
+        assert probe_search.reached(asked) == open_search.reached(asked)
+    assert 0 < len(probe_search.reached(probes)) < len(probes)
+    outside = next(c for c in reach if c not in probes)
+    with pytest.raises(ValueError, match="not among the probes"):
+        probe_search.reached(probes[:2] + [outside])
+    with pytest.raises(ValueError, match="keeps no visited set"):
+        probe_search.states()
+
+
+def test_a_count_holds_no_old_level():
+    # reachable_count asks about no configuration, so it holds only the
+    # frontier, its back cells and the level being found: p9^2 peaks near
+    # 1.1 MB, where keeping every level took 3.0 MB
+    import tracemalloc
+
+    pz = puz_on(square(path(9)))
+    tracemalloc.start()
+    try:
+        assert reachable_count(pz) == 245690
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
