@@ -249,9 +249,10 @@ def verify_prop2(g, cap=puzzle.DEFAULT_CAP, label=None):
     oracle = girth5_reachable_oracle(g)
     auts = automorphisms(g)
     search = puzzle._search(puzzle.puz_on(g), None, cap, probes=[*auts, *oracle])
-    peb = search.reached(auts)
+    hits = set(search.hits)
+    peb = [a for a in auts if a in hits]
     # equal sizes, and every oracle configuration reached: equal sets
-    same = search.count == len(oracle) == len(search.reached(oracle))
+    same = search.count == len(oracle) and hits.issuperset(oracle)
     verdict = same and peb == [tuple(g.vertices)]
     witness = {"matching_configs": len(oracle), "reachable": search.count}
     return _report(
@@ -340,7 +341,7 @@ def verify_square_lemma(max_n=12, bfs_max_n=7, via="recursive", cap=puzzle.DEFAU
         if n <= bfs_max_n:
             search = puzzle._search(cert.puz, None, cap, probes=[cert.end])
             bfs_states += search.count
-            if not search.reached([cert.end]):
+            if not search.hits:
                 failures.append({"n": n, "error": "endpoint not reachable by BFS"})
     witness = {
         "max_n": max_n,
@@ -375,7 +376,7 @@ def _over_connected_boards(worker, max_n, jobs, *args):
 def _flip_worker(g, oracle_max_n, cap):
     edges = g.edges()
     auts = automorphisms(g)
-    reach = (set(_flip_bfs(g, None, cap, probes=auts).reached(auts))
+    reach = (set(_flip_bfs(g, None, cap, probes=auts).hits)
              if g.n <= oracle_max_n else None)
     realized = 0
     confirmed = 0

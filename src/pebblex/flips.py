@@ -187,10 +187,10 @@ def _check_arrangement(g, sigma):
 def _flip_bfs(g, target, cap, witness=False, probes=None):
     """Search the flip space from the identity, up to the level on which
     ``target`` appears or to its end when target is None.  ``reached(perms)``
-    keeps the permutations visited, of ``probes`` when it is given,
-    ``states()`` builds their frozenset, and with ``witness``,
-    ``moves_to(sigma)`` gives the flips to sigma at its first discovery, or
-    None when the search did not reach it."""
+    keeps the permutations visited, ``states()`` builds their frozenset,
+    and with ``witness``, ``moves_to(sigma)`` gives the flips to sigma at
+    its first discovery, or None when the search did not reach it.  Given
+    ``probes``, it answers with ``hits``, the probes it visited, alone."""
     puz = puz_on(g)
     return _search(puz, identity_configuration(puz), cap, target, witness,
                    all_flip_paths(g), probes)
@@ -205,7 +205,7 @@ def flip_bfs_oracle(g, sigma, cap=DEFAULT_FLIP_CAP):
     """Breadth-first truth: is sigma reachable from the identity by flips?
     Raises ValueError when sigma is not an arrangement of g's vertices."""
     sigma = _check_arrangement(g, sigma)
-    return bool(_flip_bfs(g, sigma, cap, probes=[sigma]).reached([sigma]))
+    return bool(_flip_bfs(g, sigma, cap, probes=[sigma]).hits)
 
 
 def flip_bfs_witness(g, sigma, cap=DEFAULT_FLIP_CAP):

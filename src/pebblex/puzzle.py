@@ -560,11 +560,11 @@ def _packed_levels(puz, moves, ends, cap, witness, probes):
     its child exactly when it is legal at its parent (the pebble matrix is
     symmetric), so the moves that lead a state of level L + 1 back to level
     L are exactly the moves of the level-L cells that found it.  Each new
-    state records those back moves, as ascending flat row * M + move cells
-    of its level, and its expansion skips them: no child then lies on level
-    L - 1, and no search reads an older level.  A pebble swap is a
-    transposition, which flips the sign of the configuration, so every
-    child of a pebble-swap level lies on the next.  A flip reverses a
+    state records those back moves, as flat row * M + move cells of its
+    level grouped by ascending row, and its expansion skips them: no child
+    then lies on level L - 1, and no search reads an older level.  A pebble
+    swap is a transposition, which flips the sign of the configuration, so
+    every child of a pebble-swap level lies on the next.  A flip reverses a
     k-vertex path, k // 2 swaps, which keep the sign when k // 2 is even,
     so a flip search drops the children found among level L's sorted keys.
     The moves ride through the level's one sort: in the low bits of int64
@@ -577,7 +577,8 @@ def _packed_levels(puz, moves, ends, cap, witness, probes):
     An open search keeps every level's sorted keys, for ``reached`` and
     ``states``.  A probe search, given the rows of ``probes``, keeps only
     the probes that each level holds: it holds the frontier with its back
-    cells and the level being found, the window its own dedup reads.
+    cells and the level being found, the window its own dedup reads, and
+    answers only for its probes.
     """
     n = puz.n
     P = _pebble_matrix(puz)
@@ -586,7 +587,7 @@ def _packed_levels(puz, moves, ends, cap, witness, probes):
     bits = None if witness else _move_bits(n, M)
     start, *goal = _keys(ends)
     frontier = level = np.array([start])  # level: the frontier's keys, sorted
-    back = np.zeros(0, dtype=np.int64)  # the frontier's back cells, ascending
+    back = np.zeros(0, dtype=np.int64)  # the frontier's back cells, by row
     probes = None if probes is None else np.sort(_keys(probes))
     levels = []  # of an open search: each level's keys, sorted
     found = None if probes is None else np.zeros(probes.size, dtype=bool)
@@ -612,16 +613,16 @@ def _packed_levels(puz, moves, ends, cap, witness, probes):
             if moves.steps is not None:  # a flip that keeps the sign keeps the level
                 new = _absent(kids, [level])
                 kids, row, move = kids[new], row[new], move[new]
-            if bits is None:
-                parts.append((kids, row + lo, move))
-            else:  # the move rides in the key's low bits through the sort
+            if bits is not None:  # the move rides in the key's low bits through the sort
                 kids <<= bits
                 kids |= move
                 parts.append(kids)
+            else:  # only a witness reads the rows
+                parts.append((kids, move, row + lo) if witness else (kids, move))
         # one sort of the level's cells by child key; a key new to several
         # cells is kept once, and each of its cells' moves leads back
         if bits is None:
-            kids, row, move = map(np.concatenate, zip(*parts))
+            kids, move, *row = map(np.concatenate, zip(*parts))
             order = np.argsort(kids, kind="stable")
             keys, via = kids[order], move[order]
         else:
@@ -638,7 +639,7 @@ def _packed_levels(puz, moves, ends, cap, witness, probes):
             at = np.argsort(firsts)
             cell = firsts[at]
             frontier = kids[cell]
-            visits.append((frontier, row[cell].astype(np.int32),
+            visits.append((frontier, row[0][cell].astype(np.int32),
                            move[cell].astype(np.int32)))
             row_of = np.empty_like(at)
             row_of[at] = np.arange(at.size)
@@ -670,13 +671,14 @@ def _engine(n):
 
 class _Search(NamedTuple):
     """What one search visited.  ``reached`` asks the level loop's record,
-    its rank marks, its sorted level keys or, in a probe search, the probes
-    it found; only ``states`` builds a set."""
+    its rank marks or sorted level keys; only ``states`` builds a set.  A
+    probe search keeps neither record and answers with ``hits`` alone."""
 
     count: int  # configurations visited
-    reached: Callable[[list], list]  # the given configs it visited, in order
-    states: Callable[[], frozenset]  # the visited configurations
-    moves_to: Callable  # config -> its paths from the start, or None
+    reached: Callable[[list], list] | None  # the given configs it visited, in order
+    states: Callable[[], frozenset] | None  # the visited configurations
+    moves_to: Callable | None  # config -> its paths from the start, or None
+    hits: list | None  # of a probe search: the probes it visited, in order
 
 
 def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None):
@@ -692,12 +694,12 @@ def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None
     CapExceededError.  Only with ``witness`` are parents recorded; then
     ``moves_to(config)`` gives the paths that first reached config.
 
-    ``probes`` names the configurations the caller will ask ``reached``
-    about.  A search given them checks each level against them as it lands
-    and keeps no level that its dedup does not read; ``reached`` then
-    raises ValueError for any other configuration, and so does ``states``.
-    Without probes every level is kept.  A board of more than _MAX_N
-    vertices raises ValueError before anything is packed.
+    ``probes`` names the only configurations the caller asks about.  A
+    search given them checks each level against them as it lands, keeps no
+    level that its dedup does not read, and returns the probes it visited
+    as ``hits``, with no ``reached``, ``states`` or ``moves_to``.  Without
+    probes every level is kept.  A board of more than _MAX_N vertices
+    raises ValueError before anything is packed.
     """
     if puz.n > _MAX_N:
         raise ValueError(f"a search takes boards of at most {_MAX_N} vertices, "
@@ -712,24 +714,17 @@ def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None
     moves = _moves(_edge_positions(puz), None if paths is None else
                    [[puz.board.index_of(v) for v in p] for p in paths])
     ends = pack([f for f in (start, target) if f is not None])
-    asked = (None if probes is None
-             else {c: k for k, c in enumerate(dict.fromkeys(map(tuple, probes)))})
-    probe_rows = None if asked is None else pack(asked)
+    probes = None if probes is None else list(probes)
+    probe_rows = None if probes is None else pack(probes)
     count, contains, rows, trail = _engine(puz.n)(puz, moves, ends, cap, witness, probe_rows)
-    hits = contains(probe_rows) if asked else ()
+    if probes is not None:
+        hits = contains(probe_rows) if probes else ()
+        return _Search(count, None, None, None, [c for c, hit in zip(probes, hits) if hit])
 
     def reached(configs):
-        if asked is None:
-            return [c for c, hit in zip(configs, contains(pack(configs))) if hit]
-        try:
-            return [c for c in configs if hits[asked[tuple(c)]]]
-        except KeyError as exc:
-            raise ValueError(f"configuration {exc.args[0]} is not among the "
-                             f"probes of this search") from None
+        return [c for c, hit in zip(configs, contains(pack(configs))) if hit]
 
     def states():
-        if asked is not None:
-            raise ValueError("a search with probes keeps no visited set")
         labels = np.array(puz.pebbles.vertices, dtype=np.int64)
         return frozenset(map(tuple, labels[rows()].tolist()))
 
@@ -739,7 +734,7 @@ def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None
         names = puz.board.edges() if paths is None else paths
         return [names[m] for m in trail(pack([config]))]
 
-    return _Search(count, reached, states, moves_to)
+    return _Search(count, reached, states, moves_to, None)
 
 
 def reachable_set(puz, start=None, cap=DEFAULT_CAP):
@@ -758,7 +753,7 @@ def equivalent(puz, f1, f2, cap=DEFAULT_CAP):
     f2 = check_configuration(puz, f2)
     if f1 == f2:
         return True
-    return bool(_search(puz, f1, cap, target=f2, probes=[f2]).reached([f2]))
+    return bool(_search(puz, f1, cap, target=f2, probes=[f2]).hits)
 
 
 def is_feasible(puz, cap=DEFAULT_CAP):
@@ -806,7 +801,7 @@ def exchange_group_counts(g, cap=DEFAULT_CAP):
     """
     auts = automorphisms(g)
     search = _search(puz_on(g), None, cap, probes=auts)
-    return GroupSummary.from_elements(search.reached(auts)), len(auts), search.count
+    return GroupSummary.from_elements(search.hits), len(auts), search.count
 
 
 def is_peb_normal_in_aut(g, cap=DEFAULT_CAP):
@@ -819,7 +814,7 @@ def is_peb_normal_in_aut(g, cap=DEFAULT_CAP):
             f"automorphism group has {len(auts)} elements, check is capped "
             f"at 200"
         )
-    peb = set(_search(puz_on(g), None, cap, probes=auts).reached(auts))
+    peb = set(_search(puz_on(g), None, cap, probes=auts).hits)
     return all(
         compose(a, compose(p, inverse(a))) in peb for a in auts for p in peb
     )
