@@ -57,7 +57,14 @@ from .perms import (
     perm_order,
     perm_power,
 )
-from .puzzle import _search, check_configuration, identity_configuration, puz_on
+from .puzzle import (
+    _check_board,
+    _check_cap,
+    _search,
+    check_configuration,
+    identity_configuration,
+    puz_on,
+)
 
 DEFAULT_FLIP_CAP = 1_000_000
 
@@ -150,7 +157,7 @@ def compose_flip_sequences(g, s1, s2):
 # ---------------------------------------------------------------------------
 # exhaustive search (the oracle the constructive engine is tested against):
 # puzzle._search on the self-puzzle, with every canonical board path as a
-# move: the level loops and blocks of pebble swaps, parents only for witnesses
+# move: its one level loop and both engines, parents only for witnesses
 
 
 def all_flip_paths(g):
@@ -186,12 +193,16 @@ def _check_arrangement(g, sigma):
 
 def _flip_bfs(g, target, cap, witness=False, probes=None):
     """Search the flip space from the identity, up to the level on which
-    ``target`` appears or to its end when target is None.  ``reached(perms)``
-    keeps the permutations visited, ``states()`` builds their frozenset,
-    and with ``witness``, ``moves_to(sigma)`` gives the flips to sigma at
-    its first discovery, or None when the search did not reach it.  Given
-    ``probes``, it answers with ``hits``, the probes it visited, alone."""
+    ``target`` appears or to its end when target is None.  ``states()``
+    builds the frozenset of the permutations visited, and with
+    ``witness``, ``moves_to(sigma)`` gives the flips to sigma at its first
+    discovery, or None when the search did not reach it.  Given
+    ``probes``, it answers with ``hits``, the probes it visited, alone.
+    A board the search refuses, too wide or with a cap below the start, is
+    refused before its paths, which grow factorially, are enumerated."""
     puz = puz_on(g)
+    _check_board(puz)
+    _check_cap(1, cap)
     return _search(puz, identity_configuration(puz), cap, target, witness,
                    all_flip_paths(g), probes)
 

@@ -12,8 +12,8 @@ Every search is breadth-first over configurations, with one move model: a
 move is a board path, legal when each pebble pair along it is adjacent in
 the pebble graph, and it reverses the pebbles on it.  A pebble swap is the
 two-vertex path on a board edge; the flip oracle in ``flips`` passes every
-board path.  ``_search`` runs one of two level loops, chosen from the number
-of vertices n in ``_engine``:
+board path.  ``_search`` runs one level loop over the levels of one of two
+engines, chosen from the number of vertices n in ``_engine``:
 
 * n <= 7: states are lexicographic ranks of permutations.  A table of all
   n! permutations and two narrow swap tables are built once per n and
@@ -44,17 +44,17 @@ of vertices n in ``_engine``:
   drops those.  The moves ride through the level's one sort of child
   keys.
 
-Both loops test each board edge once per state before each move ANDs the
-edges it steps on, and stop once they have visited all n!
-configurations.  A search keeps its visited record for questions asked
-afterwards: the n! rank marks, or every packed level's sorted keys.  A
+Both engines test each board edge once per state before each move ANDs
+the edges it steps on, and hand their levels to the one level loop in
+``_search``, which counts, caps and stops them.  The visited record is
+the engine's: the n! rank marks, or every packed level's sorted keys.  A
 search told its probes, the configurations it will be asked about,
 checks each packed level against them as it lands and keeps no level
-that it no longer expands.  Only a witness query records parents, an
-int32 parent and a move index per state: it takes children in (frontier
-row, move) order and keeps each frontier in discovery order, so its move
-lists are those of a plain first-discovery BFS.  Every other query keeps
-no parents, and its frontiers run in rank or key order.
+that it no longer expands.  Only a witness query keeps each level's
+frontier with each state's parent row and move: it takes children in
+(frontier row, move) order and keeps each frontier in discovery order,
+so its move lists are those of a plain first-discovery BFS.  Every other
+query keeps no parents, and its frontiers run in rank or key order.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def replay(puz, start, moves):
 
 
 # ---------------------------------------------------------------------------
-# breadth-first search: one move model, two level loops
+# breadth-first search: one move model, one level loop, two engines
 
 # (frontier row, move) cells per block of a level: one block holds 128 KB
 # per int16 array and 512 KB per int64 or index array.  The whole flip
@@ -373,8 +373,8 @@ def _child_table(tables, P, pair_cols, start):
                     tables.child_cols.take(pair_cols, axis=0), int(start))
 
 
-def _ranked_levels(puz, moves, ends, cap, witness, probes):
-    """The level loop over permutation ranks, for n <= _RANKED_MAX_N.
+def _ranked_levels(puz, moves, ends, witness, probes):
+    """The engine over permutation ranks, for n <= _RANKED_MAX_N.
 
     A level's children come one of two ways.  The block body: one gather
     of rows of each swap table serves a block of the frontier; the pebble
@@ -389,11 +389,12 @@ def _ranked_levels(puz, moves, ends, cap, witness, probes):
     switch part-way; flip paths run the block body.  Without a witness,
     each level is marked in an n!-entry array and read back in rank order.
     With one, children are taken in (frontier row, move) order, each new
-    rank keeps its first discovery with its parent rank and move index,
-    and the frontier stays in discovery order.  Each level reads (row,
-    move) off the way it read its children; the table's illegal cells are
-    seen, so both ways keep the same cells and give the same move lists.
-    The marks answer any query, so ``probes`` changes nothing here.
+    rank keeps its first discovery with its parent's row in the frontier
+    and its move index, and the frontier stays in discovery order.  Each
+    level reads (row, move) off the way it read its children; the table's
+    illegal cells are seen, so both ways keep the same cells and give the
+    same move lists.  The marks answer the goal and any query, so
+    ``probes`` changes nothing here.
     """
     tables = _rank_tables(puz.n)
     P = _pebble_matrix(puz)
@@ -401,72 +402,61 @@ def _ranked_levels(puz, moves, ends, cap, witness, probes):
     cols = pair_cols[moves.swaps]
     start, *goal = _ranks(tables, ends)
     seen = np.zeros(len(tables.perms), dtype=bool)
-    seen[start] = True
-    parent, via = np.full((2, len(seen) if witness else 0), -1, dtype=np.int32)
-    frontier = np.array([start])
-    count = 1
     M = moves.swaps.shape[1]
     block = max(1, _BLOCK_CELLS // max(M, 1))
     # the visited count at which a search builds its child table
     table_at = (math.inf if moves.steps is not None  # flip paths: never
                 else 1 if len(seen) * (tables.child.shape[1] - 1) <= _BLOCK_CELLS
                 else len(seen) / _TABLE_SHARE)
-    table = None
-    while True:
-        _check_cap(count, cap)
-        if not frontier.size or count == seen.size or (goal and seen[goal[0]]):
-            break
-        if table is None and count >= table_at:
-            table = _child_table(tables, P, pair_cols, start)
-        fresh = np.zeros(seen.size, dtype=bool)
-        level = []
-        # a table level is one gather of the whole frontier, the block body
-        # takes it block by block
-        step = frontier.size if table is not None else block
-        for lo in range(0, frontier.size, step):
-            ranks = frontier[lo: lo + step]
-            if table is not None:  # the children of every (move, row) cell
-                kids = table.take(ranks, axis=1)
-            else:  # the children of the legal (row, move) cells
-                codes = tables.code.take(ranks, axis=0).take(pair_cols, axis=1)
-                legal = _legal(P.take(codes), moves)
-                # each move's first swap over the whole block, the others
-                # only where the move is legal
-                kids = tables.child.take(ranks, axis=0).take(cols[0], axis=1)[legal]
-                if witness or len(cols) > 1:
-                    row, move = _cells(legal)
-                for col in cols[1:]:
-                    kids = tables.child[kids, col[move]]
+
+    def levels():
+        seen[start] = True
+        frontier, parent, via = np.array([start]), None, None
+        count, table = 1, None  # the states visited, read by table_at
+        while True:
+            yield frontier, parent, via, goal and seen[goal[0]]
+            if table is None and count >= table_at:
+                table = _child_table(tables, P, pair_cols, start)
+            fresh = np.zeros(seen.size, dtype=bool)
+            level = []
+            # a table level is one gather of the whole frontier, the block body
+            # takes it block by block
+            step = frontier.size if table is not None else block
+            for lo in range(0, frontier.size, step):
+                ranks = frontier[lo: lo + step]
+                if table is not None:  # the children of every (move, row) cell
+                    kids = table.take(ranks, axis=1)
+                else:  # the children of the legal (row, move) cells
+                    codes = tables.code.take(ranks, axis=0).take(pair_cols, axis=1)
+                    legal = _legal(P.take(codes), moves)
+                    # each move's first swap over the whole block, the others
+                    # only where the move is legal
+                    kids = tables.child.take(ranks, axis=0).take(cols[0], axis=1)[legal]
+                    if witness or len(cols) > 1:
+                        row, move = _cells(legal)
+                    for col in cols[1:]:
+                        kids = tables.child[kids, col[move]]
+                if witness:
+                    kids = kids.ravel(order="F")  # (row, move) order
+                    cell = np.flatnonzero(~seen.take(kids))
+                    cell = cell[_first_occurrences(kids[cell])]
+                    kids = kids[cell]
+                    seen[kids] = True
+                    # this level's way of reading children: both keep the same cells
+                    row, move = (np.divmod(cell, M) if table is not None
+                                 else (row[cell], move[cell]))
+                    level.append((kids, row + lo, move))
+                else:  # an intp index scatters about twice as fast as an int16 one
+                    fresh[kids.astype(np.intp)] = True
             if witness:
-                kids = kids.ravel(order="F")  # (row, move) order
-                cell = np.flatnonzero(~seen.take(kids))
-                cell = cell[_first_occurrences(kids[cell])]
-                kids = kids[cell]
-                seen[kids] = True
-                # this level's way of reading children: both keep the same cells
-                row, move = (np.divmod(cell, M) if table is not None
-                             else (row[cell], move[cell]))
-                parent[kids] = ranks[row]
-                via[kids] = move
-                level.append(kids)
-            else:  # an intp index scatters about twice as fast as an int16 one
-                fresh[kids.astype(np.intp)] = True
-        if witness:
-            frontier = np.concatenate(level)
-        else:
-            frontier = np.flatnonzero(fresh > seen)
-            seen[frontier] = True
-        count += frontier.size
+                frontier, parent, via = map(np.concatenate, zip(*level))
+            else:
+                frontier = np.flatnonzero(fresh > seen)
+                seen[frontier] = True
+            count += frontier.size
 
-    def trail(rows):  # of a visited row
-        r = _ranks(tables, rows)[0]
-        out = []
-        while parent[r] >= 0:
-            out.append(via[r])
-            r = parent[r]
-        return out[::-1]
-
-    return count, lambda rows: seen[_ranks(tables, rows)], lambda: tables.perms[seen], trail
+    return (levels(), functools.partial(_ranks, tables), lambda ranks: seen[ranks],
+            lambda: tables.perms[seen])
 
 
 def _keys(rows):
@@ -551,8 +541,8 @@ def _absent(keys, near):
     return keep
 
 
-def _packed_levels(puz, moves, ends, cap, witness, probes):
-    """The level loop over packed keys, for n > _RANKED_MAX_N.
+def _packed_levels(puz, moves, ends, witness, probes):
+    """The engine over packed keys, for n > _RANKED_MAX_N.
 
     Each block of a frontier goes through ``_children``: one gather of
     pebble pair codes, legality from the edge codes, and child keys for the
@@ -571,14 +561,14 @@ def _packed_levels(puz, moves, ends, cap, witness, probes):
     child keys where ``_move_bits`` fits them, by a stable argsort of the
     keys otherwise.  Without a witness, each frontier is its level's sorted
     keys.  With one, children are taken in (frontier row, move) order, each
-    new key keeps its first discovery with its parent's index in the
-    frontier and its move index, and the frontier stays in discovery order.
+    new key keeps its first discovery with its parent's row in the frontier
+    and its move index, and the frontier stays in discovery order.
 
-    An open search keeps every level's sorted keys, for ``reached`` and
-    ``states``.  A probe search, given the rows of ``probes``, keeps only
-    the probes that each level holds: it holds the frontier with its back
-    cells and the level being found, the window its own dedup reads, and
-    answers only for its probes.
+    An open search keeps every level's sorted keys, for its visited rows.
+    A probe search, given the rows of ``probes``, keeps only the probes
+    that each level holds: it holds the frontier with its back cells and
+    the level being found, the window its own dedup reads, and answers
+    only for its probes.
     """
     n = puz.n
     P = _pebble_matrix(puz)
@@ -586,98 +576,91 @@ def _packed_levels(puz, moves, ends, cap, witness, probes):
     M = moves.swaps.shape[1]
     bits = None if witness else _move_bits(n, M)
     start, *goal = _keys(ends)
-    frontier = level = np.array([start])  # level: the frontier's keys, sorted
-    back = np.zeros(0, dtype=np.int64)  # the frontier's back cells, by row
     probes = None if probes is None else np.sort(_keys(probes))
-    levels = []  # of an open search: each level's keys, sorted
-    found = None if probes is None else np.zeros(probes.size, dtype=bool)
-    visits = [(frontier, None, None)]  # with a witness: keys, parent, move
-    count = 1
+    kept = []  # sorted keys: each level's, or of a probe search each level's probes
     block = max(1, _BLOCK_CELLS // max(M, 1))
-    total = math.factorial(n)
-    while True:
-        if probes is None:
-            levels.append(level)
-        elif probes.size and level.size:
-            found |= level.take(level.searchsorted(probes), mode="clip") == probes
-        _check_cap(count, cap)
-        if (not frontier.size or count == total
-                or (goal and not _absent(np.array(goal), [level])[0])):
-            break
-        parts = []
-        for lo in range(0, frontier.size, block):
-            keys = frontier[lo: lo + block]
-            a, b = back.searchsorted([lo * M, (lo + block) * M])
-            kids, row, move = _children(keys, _rows(keys, n), moves, P, steps,
-                                        back[a:b] - lo * M)
-            if moves.steps is not None:  # a flip that keeps the sign keeps the level
-                new = _absent(kids, [level])
-                kids, row, move = kids[new], row[new], move[new]
-            if bits is not None:  # the move rides in the key's low bits through the sort
-                kids <<= bits
-                kids |= move
-                parts.append(kids)
-            else:  # only a witness reads the rows
-                parts.append((kids, move, row + lo) if witness else (kids, move))
-        # one sort of the level's cells by child key; a key new to several
-        # cells is kept once, and each of its cells' moves leads back
-        if bits is None:
-            kids, move, *row = map(np.concatenate, zip(*parts))
-            order = np.argsort(kids, kind="stable")
-            keys, via = kids[order], move[order]
-        else:
-            keys = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            keys.sort()
-            via = keys & ((1 << bits) - 1)
-            keys >>= bits
-        first = _run_starts(keys)
-        level = keys[first]
-        back = first.cumsum()  # each cell's row in the sorted level, plus 1
-        back -= 1
-        if witness:  # discovery order: each key at its first (row, move) cell
-            firsts = order[first]
-            at = np.argsort(firsts)
-            cell = firsts[at]
-            frontier = kids[cell]
-            visits.append((frontier, row[0][cell].astype(np.int32),
-                           move[cell].astype(np.int32)))
-            row_of = np.empty_like(at)
-            row_of[at] = np.arange(at.size)
-            back = np.sort(row_of[back] * M + via)
-        else:
-            frontier = level
-            back *= M
-            back += via
-        count += frontier.size
 
-    def trail(rows):  # of a visited row
-        key = _keys(rows)[0]
-        depth = next(d for d, (keys, _, _) in enumerate(visits) if key in keys)
-        out, i = [], np.flatnonzero(visits[depth][0] == key)[0]
-        for _, parent, move in visits[depth:0:-1]:
-            out.append(move[i])
-            i = parent[i]
-        return out[::-1]
+    def levels():
+        frontier = level = np.array([start])  # level: the frontier's keys, sorted
+        back = np.zeros(0, dtype=np.int64)  # the frontier's back cells, by row
+        parent = made = None  # of a witness: each new key's row in the frontier, its move
+        while True:
+            if probes is None:
+                kept.append(level)
+            elif probes.size and level.size:
+                on = level.take(level.searchsorted(probes), mode="clip") == probes
+                kept.append(probes[on])
+            yield frontier, parent, made, goal and not _absent(np.array(goal), [level])[0]
+            parts = []
+            for lo in range(0, frontier.size, block):
+                keys = frontier[lo: lo + block]
+                a, b = back.searchsorted([lo * M, (lo + block) * M])
+                kids, row, move = _children(keys, _rows(keys, n), moves, P, steps,
+                                            back[a:b] - lo * M)
+                if moves.steps is not None:  # a flip that keeps the sign keeps the level
+                    new = _absent(kids, [level])
+                    kids, row, move = kids[new], row[new], move[new]
+                if bits is not None:  # the move rides in the key's low bits through the sort
+                    kids <<= bits
+                    kids |= move
+                    parts.append(kids)
+                else:  # only a witness reads the rows
+                    parts.append((kids, move, row + lo) if witness else (kids, move))
+            # one sort of the level's cells by child key; a key new to several
+            # cells is kept once, and each of its cells' moves leads back
+            if bits is None:
+                kids, move, *row = map(np.concatenate, zip(*parts))
+                order = np.argsort(kids, kind="stable")
+                keys, via = kids[order], move[order]
+            else:
+                keys = np.concatenate(parts) if len(parts) > 1 else parts[0]
+                keys.sort()
+                via = keys & ((1 << bits) - 1)
+                keys >>= bits
+            first = _run_starts(keys)
+            level = keys[first]
+            back = first.cumsum()  # each cell's row in the sorted level, plus 1
+            back -= 1
+            if witness:  # discovery order: each key at its first (row, move) cell
+                firsts = order[first]
+                at = np.argsort(firsts)
+                cell = firsts[at]
+                frontier, parent, made = kids[cell], row[0][cell], move[cell]
+                row_of = np.empty_like(at)
+                row_of[at] = np.arange(at.size)
+                back = np.sort(row_of[back] * M + via)
+            else:
+                frontier = level
+                back *= M
+                back += via
 
-    kept = levels if probes is None else [probes[found]]
-    return (count, lambda rows: ~_absent(_keys(rows), kept),
-            lambda: _rows(np.concatenate(levels), n), trail)
+    return (levels(), _keys, lambda keys: ~_absent(keys, kept),
+            lambda: _rows(np.concatenate(kept), n))
 
 
 def _engine(n):
-    """The level loop that serves n-vertex puzzles."""
+    """The engine of n-vertex puzzles: given (puz, moves, ends, witness,
+    probes) it returns its levels, each yielded as (frontier, parent row,
+    move, goal found), the start first; ``ids``, the ranks or keys of rows;
+    ``has``, its visited record's answer for ids; and ``rows``, an open
+    search's visited rows."""
     return _ranked_levels if n <= _RANKED_MAX_N else _packed_levels
 
 
+def _check_board(puz):
+    if puz.n > _MAX_N:
+        raise ValueError(f"a search takes boards of at most {_MAX_N} vertices, "
+                         f"this one has {puz.n}")
+
+
 class _Search(NamedTuple):
-    """What one search visited.  ``reached`` asks the level loop's record,
-    its rank marks or sorted level keys; only ``states`` builds a set.  A
-    probe search keeps neither record and answers with ``hits`` alone."""
+    """What one search visited.  An open search builds its visited set with
+    ``states``, and a witness search also gives ``moves_to``; a probe search
+    keeps no such record and answers with ``hits`` alone."""
 
     count: int  # configurations visited
-    reached: Callable[[list], list] | None  # the given configs it visited, in order
     states: Callable[[], frozenset] | None  # the visited configurations
-    moves_to: Callable | None  # config -> its paths from the start, or None
+    moves_to: Callable | None  # of a witness search: config -> its paths, or None
     hits: list | None  # of a probe search: the probes it visited, in order
 
 
@@ -688,22 +671,21 @@ def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None
     pebbles on it.  No paths means the board edges, in ``_edge_positions``
     order: pebble swaps.
 
-    The search ends after the level on which ``target`` first appears, or
-    when no level is left.  The cap is checked after every level, the start
-    being the first: more than ``cap`` configurations visited raises
-    CapExceededError.  Only with ``witness`` are parents recorded; then
-    ``moves_to(config)`` gives the paths that first reached config.
+    The engine of ``_engine`` expands each level and keeps the visited
+    record; this one loop ends after the level on which ``target`` first
+    appears, at n! configurations, or when no level is left.  The cap is
+    checked after every level, the start being the first: more than
+    ``cap`` configurations visited raises CapExceededError.  Only with
+    ``witness`` are parents kept; then ``moves_to(config)`` gives the
+    paths that first reached config, or None.
 
     ``probes`` names the only configurations the caller asks about.  A
-    search given them checks each level against them as it lands, keeps no
-    level that its dedup does not read, and returns the probes it visited
-    as ``hits``, with no ``reached``, ``states`` or ``moves_to``.  Without
-    probes every level is kept.  A board of more than _MAX_N vertices
-    raises ValueError before anything is packed.
+    search given them keeps no level that its dedup does not read, and
+    returns the probes it visited as ``hits``, with no ``states`` or
+    ``moves_to``.  Without probes every level is kept.  A board of more
+    than _MAX_N vertices raises ValueError before anything is packed.
     """
-    if puz.n > _MAX_N:
-        raise ValueError(f"a search takes boards of at most {_MAX_N} vertices, "
-                         f"this one has {puz.n}")
+    _check_board(puz)
     start = identity_configuration(puz) if start is None else start
     index = puz.pebbles.index_of
 
@@ -716,25 +698,36 @@ def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None
     ends = pack([f for f in (start, target) if f is not None])
     probes = None if probes is None else list(probes)
     probe_rows = None if probes is None else pack(probes)
-    count, contains, rows, trail = _engine(puz.n)(puz, moves, ends, cap, witness, probe_rows)
+    levels, ids, has, rows = _engine(puz.n)(puz, moves, ends, witness, probe_rows)
+    count, total, visits = 0, math.factorial(puz.n), []
+    for frontier, parent, move, found in levels:
+        count += frontier.size
+        if witness:
+            visits.append((frontier, parent, move))
+        _check_cap(count, cap)
+        if not frontier.size or count == total or found:
+            break
     if probes is not None:
-        hits = contains(probe_rows) if probes else ()
-        return _Search(count, None, None, None, [c for c, hit in zip(probes, hits) if hit])
-
-    def reached(configs):
-        return [c for c, hit in zip(configs, contains(pack(configs))) if hit]
+        hits = has(ids(probe_rows)) if probes else ()
+        return _Search(count, None, None, [c for c, hit in zip(probes, hits) if hit])
 
     def states():
         labels = np.array(puz.pebbles.vertices, dtype=np.int64)
         return frozenset(map(tuple, labels[rows()].tolist()))
 
     def moves_to(config):
-        if not reached([config]):
+        key = ids(pack([config]))[0]
+        depth = next((d for d, (level, _, _) in enumerate(visits) if key in level), None)
+        if depth is None:
             return None
         names = puz.board.edges() if paths is None else paths
-        return [names[m] for m in trail(pack([config]))]
+        out, i = [], np.flatnonzero(visits[depth][0] == key)[0]
+        for _, parent, move in visits[depth:0:-1]:
+            out.append(names[move[i]])
+            i = parent[i]
+        return out[::-1]
 
-    return _Search(count, reached, states, moves_to, None)
+    return _Search(count, states, moves_to if witness else None, None)
 
 
 def reachable_set(puz, start=None, cap=DEFAULT_CAP):
@@ -775,9 +768,13 @@ def bfs_witness(puz, start, target, cap=DEFAULT_CAP):
     """A shortest move list turning start into target, or None.
 
     Intended for small instances where an explicit move sequence is wanted
-    rather than a yes/no answer.
+    rather than a yes/no answer.  The list is replayed from start, and one
+    that does not end at target raises PuzzleError.
     """
-    return _search(puz, start, cap, target, witness=True).moves_to(target)
+    moves = _search(puz, start, cap, target, witness=True).moves_to(target)
+    if moves is not None and replay(puz, start, moves) != check_configuration(puz, target):
+        raise PuzzleError(f"witness moves from {start} do not reach {target}")
+    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +783,9 @@ def bfs_witness(puz, start, target, cap=DEFAULT_CAP):
 def pebble_exchange_group(g, cap=DEFAULT_CAP):
     """Automorphisms of g reachable from the identity in the self-puzzle.
 
-    Returns a GroupSummary.  One BFS over the identity's component, whose
-    visited record is asked which automorphisms it reached; no set is built.
+    Returns a GroupSummary.  One BFS over the identity's component, told
+    the automorphisms as its probes, answers with those it reached; no set
+    is built.
     """
     return exchange_group_counts(g, cap=cap)[0]
 

@@ -478,6 +478,29 @@ def test_flip_queries_refuse_non_arrangements(desc):
                 query(g, sigma, cap=0)
 
 
+def test_a_refused_flip_search_enumerates_no_path(monkeypatch):
+    # a cap below 1 and a board over 256 vertices are refused with the
+    # search's own texts before the board paths, whose number grows
+    # factorially on dense boards, are enumerated
+    def all_paths(g):
+        raise AssertionError(f"enumerated the paths of {g}")
+
+    monkeypatch.setattr(flips, "all_flip_paths", all_paths)
+    k8 = complete_multipartite((1,) * 8)
+    sigma = (2, 1, 3, 4, 5, 6, 7, 8)
+    for query in (flip_bfs_oracle, flip_bfs_witness):
+        for cap in (0, -1):
+            with pytest.raises(CapExceededError) as exc:
+                query(k8, sigma, cap=cap)
+            assert str(exc.value) == f"visited 1 configurations, cap is {cap}"
+        wide = path(300)
+        with pytest.raises(ValueError, match="a search takes boards of at most 256 "
+                                             "vertices, this one has 300"):
+            query(wide, wide.vertices, cap=0)
+    with pytest.raises(CapExceededError):
+        flip_reachable_set(k8, cap=0)
+
+
 # BFS levels of the flip space of P8 by _flip_levels, which takes 1.3 s
 P8_FLIP_LEVELS = [1, 28, 252, 1050, 2310, 2772, 1716, 429]
 

@@ -204,6 +204,23 @@ def test_bfs_witness_replays():
     assert bfs_witness(puz_on(cycle(4)), (1, 2, 3, 4), (2, 3, 4, 1)) is None
 
 
+def test_bfs_witness_refuses_a_move_list_that_misses_its_target(monkeypatch):
+    # the move list is replayed from the start: a trail that loses its last
+    # move still replays, to the wrong configuration, and is refused
+    search = _p._search
+
+    def short_trail(*args, **kwargs):
+        found = search(*args, **kwargs)
+        return found._replace(moves_to=lambda config: found.moves_to(config)[:-1])
+
+    pz = puz_on(square(path(4)))
+    ident = identity_configuration(pz)
+    assert len(bfs_witness(pz, ident, (4, 3, 2, 1))) > 1
+    monkeypatch.setattr(_p, "_search", short_trail)
+    with pytest.raises(PuzzleError, match="do not reach"):
+        bfs_witness(pz, ident, (4, 3, 2, 1))
+
+
 
 # move lists of bfs_witness for 10 targets drawn by random.Random(13) from
 # each reachable set (all of them when fewer): their lengths and the sha256
@@ -285,9 +302,10 @@ def test_exchange_group_counts_match_the_reachable_set(packed):
     ("c7", False), ("q3", False), ("p16", False), ("c6", True), ("c7", True),
 ])
 def test_reached_is_membership_in_the_reachable_set(packed, desc, flips):
-    # ranks (c6, c7), int64 keys (q3, and the smaller boards with the
-    # packed loop forced) and byte keys (p16), over pebble swaps and over
-    # the flip space, with and without parents
+    # a probe search's hits are the probes in the reachable set: ranks (c6,
+    # c7), int64 keys (q3, and the smaller boards with the packed loop
+    # forced) and byte keys (p16), over pebble swaps and over the flip
+    # space, with and without parents
     from pebblex.flips import all_flip_paths
 
     g = graph_from_desc(desc)
@@ -301,13 +319,14 @@ def test_reached_is_membership_in_the_reachable_set(packed, desc, flips):
     expected = [c for c in configs if c in reach]
     assert 0 < len(expected) < len(configs)
     for engine, witness in itertools.product((contextlib.nullcontext, packed), (False, True)):
+        def search(probes):
+            return _p._search(pz, None, 10**7, witness=witness, paths=paths, probes=probes)
+
         with engine():
-            search = _p._search(pz, None, 10**7, witness=witness, paths=paths)
-        assert search.count == len(reach)
-        assert search.reached(configs) == expected
-        assert search.reached([]) == []
-        with pytest.raises(PuzzleError):
-            search.reached([g.vertices[:-1]])
+            assert search(configs) == (len(reach), None, None, expected)
+            assert search([]).hits == []
+            with pytest.raises(PuzzleError):
+                search([g.vertices[:-1]])
 
 
 def test_hypercube_group_elements_are_involutions():
@@ -682,8 +701,8 @@ def test_int64_and_byte_keys_agree(pz, monkeypatch):
               + [tuple(rng.sample(ident, pz.n)) for _ in range(3)])
 
     def answers():
-        search = _p._search(pz, None, 10**6)
-        return (search.count, search.reached(probes),
+        search = _p._search(pz, None, 10**6, probes=probes)
+        return (search.count, search.hits,
                 [bfs_witness(pz, ident, target) for target in probes])
 
     int64 = answers()
@@ -917,7 +936,8 @@ def test_move_bits_fill_63_bits_of_a_key_and_no_more(n, monkeypatch):
 def test_a_probe_search_answers_as_an_open_search_does(keys, flips, packed, monkeypatch):
     # ranks (c7), and the same board forced to the packed loop with int64
     # and with byte keys; the probes mix reached configurations with
-    # others, some given twice, and come back as hits in their own order
+    # others, some given twice, and come back as hits in their own order.
+    # A witness search's moves_to answers None off its record
     from pebblex.flips import all_flip_paths
 
     g = cycle(7)
@@ -934,12 +954,16 @@ def test_a_probe_search_answers_as_an_open_search_does(keys, flips, packed, monk
             monkeypatch.setattr(_p, "_INT64_MAX_N", 0)
         open_search = _p._search(pz, None, 10**6, paths=paths)
         probe_search = _p._search(pz, None, 10**6, paths=paths, probes=probes)
-    assert probe_search.count == open_search.count == len(reach)
-    assert probe_search.hits == open_search.reached(probes)
+        witness_search = _p._search(pz, None, 10**6, witness=True, paths=paths)
+    assert probe_search.count == open_search.count == witness_search.count == len(reach)
+    assert probe_search.hits == [c for c in probes if c in open_search.states()]
     assert 0 < len(probe_search.hits) < len(probes)
-    assert open_search.hits is None
+    assert open_search.hits is witness_search.hits is open_search.moves_to is None
+    for config in probes:
+        moves = witness_search.moves_to(config)
+        assert (moves is None) == (config not in probe_search.hits), config
     # a probe search offers no record to ask about other configurations
-    assert probe_search.reached is probe_search.states is probe_search.moves_to is None
+    assert probe_search.states is probe_search.moves_to is None
 
 
 def test_a_count_holds_no_old_level():

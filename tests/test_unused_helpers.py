@@ -1,7 +1,8 @@
 """Every top-level function and class of the package is exported from
 ``pebblex/__init__.py`` or used by package code: a helper that only tests
 call is dead weight and gets deleted, with its tests moved to what it
-stood for.  Likewise every module-level import is used by its module."""
+stood for.  Likewise every module-level import is used by its module, and
+every field of a private NamedTuple is read by package code."""
 
 import ast
 import collections
@@ -67,6 +68,30 @@ def _unused_imports():
     return sorted(out)
 
 
+def _unread_fields():
+    """Fields of the package's private NamedTuples that no package code
+    reads.  A read is an attribute load of the field's name, or the name in
+    a tuple-unpacking target, which reads a field by its position."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    read = set()
+    for sub in (sub for tree in trees.values() for sub in ast.walk(tree)):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.attr)
+        elif isinstance(sub, (ast.Tuple, ast.List)) and isinstance(sub.ctx, ast.Store):
+            for target in sub.elts:
+                target = target.value if isinstance(target, ast.Starred) else target
+                if isinstance(target, ast.Name):
+                    read.add(target.id)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.ClassDef) and node.name.startswith("_")
+                    and any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)):
+                out += [f"{module}.{node.name}.{stmt.target.id}" for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
+    return sorted(out)
+
+
 def test_every_module_level_import_is_used():
     assert _unused_imports() == []
 
@@ -78,3 +103,7 @@ def test_every_top_level_helper_is_exported_or_used():
 def test_test_only_list_names_live_helpers():
     for module, name in TEST_ONLY:
         assert hasattr(getattr(pebblex, module), name)
+
+
+def test_every_private_named_tuple_field_is_read():
+    assert _unread_fields() == []
