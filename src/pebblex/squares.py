@@ -99,8 +99,7 @@ def embed_subsequence(host, host_cfg, sub, board_map, pebble_map, where=""):
     replayed in order) or like the sub end (moves are replayed backwards;
     each move is its own inverse, so that walks end back to start).  Each
     renamed move is validated by the host's own move rule, and the region
-    is checked again after the replay.  Returns (new_cfg, moves, direction),
-    direction being "forward" or "reversed".
+    is checked again after the replay.  Returns (new_cfg, moves).
     """
     sub_board = sub.puz.board.vertices
     sub_idx = {v: i for i, v in enumerate(sub_board)}
@@ -112,11 +111,9 @@ def embed_subsequence(host, host_cfg, sub, board_map, pebble_map, where=""):
         )
 
     if region_matches(host_cfg, sub.start):
-        direction = "forward"
         seq = sub.moves
         target = sub.end
     elif region_matches(host_cfg, sub.end):
-        direction = "reversed"
         seq = tuple(reversed(sub.moves))
         target = sub.start
     else:
@@ -135,7 +132,7 @@ def embed_subsequence(host, host_cfg, sub, board_map, pebble_map, where=""):
         out.append(mv)
     if not region_matches(cfg, target):
         raise SynthesisError(f"{where}: region mismatch after replay")
-    return tuple(cfg), out, direction
+    return tuple(cfg), out
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +204,7 @@ def _b_moves(host, n):
             raise SynthesisError(f"reversal recursion n={n}, {tag}: got {cfg}")
 
     # 1. reverse pebbles 2..n on board 2..n (one size down, shifted)
-    cfg, mv, _ = embed_subsequence(
+    cfg, mv = embed_subsequence(
         host, cfg, _dense_b(n - 1),
         {i: i + 1 for i in range(1, n)},
         {j: j + 1 for j in range(1, n)},
@@ -216,7 +213,7 @@ def _b_moves(host, n):
     moves += mv
     expect((1,) + tuple(range(n, 1, -1)), "stage 1")
     # 2. rotate the middle block into ascending order (two sizes down)
-    cfg, mv, _ = embed_subsequence(
+    cfg, mv = embed_subsequence(
         host, cfg, _dense_a(n - 2),
         {i: i + 1 for i in range(1, n - 1)},
         {j: n + 1 - j for j in range(1, n - 1)},
@@ -227,7 +224,7 @@ def _b_moves(host, n):
     # 3. the transposed sequence, replayed backwards, descends the front
     pm = {j: n + 1 - j for j in range(1, n - 1)}
     pm[n - 1] = 1
-    cfg, mv, _ = embed_subsequence(
+    cfg, mv = embed_subsequence(
         host, cfg, _dense_c(n - 1),
         {i: i for i in range(1, n)},
         pm,
@@ -328,11 +325,12 @@ def compile_automorphism_to_square_moves(g, sigma, board_desc=None):
     """Moves on the self-puzzle of g squared that realize sigma.
 
     sigma must be an automorphism of connected g.  It is first realized as
-    path reversals on g; each reversal of a path P whose pebbles lie along
-    a path Q then becomes seq_A(len(P)) placed with board names from P and
-    pebble names from Q.  Inside the square both name maps send path
-    neighbors at distance <= 2 to adjacent vertices, so every renamed move
-    is legal; the builder validates each one and the final configuration.
+    path reversals on g; each reversal of a path P becomes seq_A(len(P))
+    with its board vertices renamed along P.  Inside the square, vertices at
+    distance <= 2 along P are adjacent, and so are the pebbles on them,
+    which lie in order along a path of g; so every renamed move is legal.
+    The certificate's one replay checks each renamed move and that the moves
+    end at sigma.
     """
     from .flips import realize_by_flips
 
@@ -341,29 +339,15 @@ def compile_automorphism_to_square_moves(g, sigma, board_desc=None):
     sigma = tuple(sigma)
     if not is_automorphism(g, sigma):
         raise ValueError(f"{sigma} is not an automorphism of the graph")
-    flips = realize_by_flips(g, sigma)
+    moves = tuple(
+        (fl[a - 1], fl[b - 1])
+        for fl in realize_by_flips(g, sigma)
+        for a, b in _dense_a(len(fl)).moves
+    )
     host = puz_on(square(g))
-    cfg = identity_configuration(host)
-    moves = []
-    for fl in flips:
-        k = len(fl)
-        pebbles = tuple(cfg[host.board.index_of(v)] for v in fl)
-        cfg, mv, direction = embed_subsequence(
-            host, cfg, _dense_a(k),
-            {i: fl[i - 1] for i in range(1, k + 1)},
-            {i: pebbles[i - 1] for i in range(1, k + 1)},
-            where=f"flip {fl}",
-        )
-        if direction != "forward":
-            raise SynthesisError(f"flip {fl}: expected a forward placement")
-        moves += mv
-    if cfg != sigma:
-        raise SynthesisError(
-            f"compiled moves realize {cfg}, wanted {sigma}"
-        )
     desc = board_desc if board_desc is not None else f"<{g.n}-vertex-graph>^2"
     cert = MoveCertificate(
-        host, identity_configuration(host), sigma, tuple(moves),
+        host, identity_configuration(host), sigma, moves,
         board_desc=desc, pebbles_desc=desc, provenance="compiled",
     )
     return cert.validate()

@@ -24,8 +24,9 @@ from pebblex import (
     sequence_length,
     square,
 )
-from pebblex import names
+from pebblex import flips, names
 from pebblex.catalog import connected_graphs, trees
+from pebblex.errors import PuzzleError
 from pebblex.names import graph_from_desc
 from pebblex.perms import automorphisms
 
@@ -209,6 +210,22 @@ def test_compiled_certificates_are_pinned():
 def test_compile_rejects_non_automorphism():
     with pytest.raises(ValueError):
         compile_automorphism_to_square_moves(path(4), (2, 1, 3, 4))
+
+
+def test_compile_returns_no_certificate_it_has_not_replayed(monkeypatch):
+    # the compiler renames each flip's moves without replaying them; the
+    # certificate's replay must still refuse a wrong end and an illegal move
+    real = flips.realize_by_flips
+    c5, p4 = graph_from_desc("c5"), path(4)
+    monkeypatch.setattr(
+        flips, "realize_by_flips", lambda g, sigma: real(g, (5, 1, 2, 3, 4))
+    )
+    with pytest.raises(PuzzleError):
+        compile_automorphism_to_square_moves(c5, (2, 3, 4, 5, 1))
+    # the flip (1, 2, 3, 4) cut to its ends: (1, 4) is no edge of p4 squared
+    monkeypatch.setattr(flips, "realize_by_flips", lambda g, sigma: [(1, 4)])
+    with pytest.raises(PuzzleError):
+        compile_automorphism_to_square_moves(p4, (4, 3, 2, 1))
 
 
 def test_compile_unnamed_board_gets_placeholder_descriptor():
