@@ -245,16 +245,7 @@ def shortest_path(g, u, v):
     smallest-labeled predecessor.  Returns None when disconnected."""
     if not g.has_vertex(u) or not g.has_vertex(v):
         raise ValueError(f"vertex out of range: ({u},{v})")
-    dist = distances_from(g, u)
-    if v not in dist:
-        return None
-    path = [v]
-    cur = v
-    while cur != u:
-        cur = min(w for w in g.adj[cur] if dist.get(w, INF) == dist[cur] - 1)
-        path.append(cur)
-    path.reverse()
-    return path
+    return shortest_path_to_set(g, u, (v,))
 
 
 def shortest_path_to_set(g, src, targets):

@@ -11,11 +11,12 @@ Three related sequence families, all reversing n pebbles:
 * ``seq_C(n)``: the transpose of seq_B, swapping the roles of board and
   pebble graph.
 
-The recursion builds B(n) out of B(n-1), A(n-2) and C(n-1) placed into the
-board through vertex and pebble renamings; every placement is validated by
-replaying the renamed moves one by one, every stage is checked against its
-expected configuration, and the finished certificate is replayed start to
-end, so a construction error raises SynthesisError instead of producing a
+The recursion builds B(n) out of B(n-1), A(n-2) and C(n-1), whose moves it
+renames onto the board: shifted one vertex up, or kept and run backwards.
+Each stage is replayed on the board, whose move rule checks every renamed
+move, and the whole configuration it ends at is checked against the one
+expected; the public builders replay each finished certificate start to
+end.  A construction error raises SynthesisError instead of producing a
 bad certificate.
 
 The dense certificates behind the three families (labels 1..n) are built
@@ -36,8 +37,6 @@ from .graphs import Graph, path, square
 from .perms import is_automorphism
 from .puzzle import (
     Puz,
-    _move_in_place,
-    apply_move,
     bfs_witness,
     identity_configuration,
     puz_on,
@@ -71,7 +70,8 @@ class MoveCertificate:
 
     ``board_desc``/``pebbles_desc`` are graph descriptors making the
     certificate self-contained when serialized.  ``provenance`` records how
-    the moves were obtained: recursive, bfs, or compiled.
+    the moves were obtained: recursive, bfs, compiled, or file (read back
+    by ``parse_certificate``).
     """
 
     puz: Puz
@@ -90,49 +90,6 @@ class MoveCertificate:
                 f"certificate replay ends at {got}, claimed {self.end}"
             )
         return self
-
-
-def embed_subsequence(host, host_cfg, sub, board_map, pebble_map, where=""):
-    """Replay a sub-certificate inside a host puzzle under renamings.
-
-    The host region must currently look like the sub start (moves are then
-    replayed in order) or like the sub end (moves are replayed backwards;
-    each move is its own inverse, so that walks end back to start).  Each
-    renamed move is validated by the host's own move rule, and the region
-    is checked again after the replay.  Returns (new_cfg, moves).
-    """
-    sub_board = sub.puz.board.vertices
-    sub_idx = {v: i for i, v in enumerate(sub_board)}
-
-    def region_matches(cfg, sub_cfg):
-        return all(
-            cfg[host.board.index_of(board_map[v])] == pebble_map[sub_cfg[sub_idx[v]]]
-            for v in sub_board
-        )
-
-    if region_matches(host_cfg, sub.start):
-        seq = sub.moves
-        target = sub.end
-    elif region_matches(host_cfg, sub.end):
-        seq = tuple(reversed(sub.moves))
-        target = sub.start
-    else:
-        raise SynthesisError(
-            f"{where}: host region matches neither orientation of the "
-            f"sub-certificate"
-        )
-    cfg = list(host_cfg)
-    out = []
-    for a, b in seq:
-        mv = (board_map[a], board_map[b])
-        try:
-            _move_in_place(host, cfg, mv)
-        except IllegalMoveError as exc:
-            raise SynthesisError(f"{where}: renamed move {mv} is illegal: {exc}")
-        out.append(mv)
-    if not region_matches(cfg, target):
-        raise SynthesisError(f"{where}: region mismatch after replay")
-    return tuple(cfg), out
 
 
 # ---------------------------------------------------------------------------
@@ -191,51 +148,40 @@ def _dense_c(n):
 
 
 def _b_moves(host, n):
-    """The moves of the dense B(n) on ``host``, built from smaller sizes."""
+    """The moves of the dense B(n) on ``host``, built from smaller sizes.
+
+    Each stage renames a cached smaller certificate's moves onto the host
+    and replays them there, so the host's move rule checks every move; the
+    whole configuration the stage ends at is then checked against the one
+    the recursion expects.
+    """
     if n == 1:
         return ()
     if n == 2:
         return ((1, 2),)
-    cfg = tuple(range(1, n + 1))
-    moves = []
-
-    def expect(stage, tag):
-        if cfg != stage:
-            raise SynthesisError(f"reversal recursion n={n}, {tag}: got {cfg}")
-
-    # 1. reverse pebbles 2..n on board 2..n (one size down, shifted)
-    cfg, mv = embed_subsequence(
-        host, cfg, _dense_b(n - 1),
-        {i: i + 1 for i in range(1, n)},
-        {j: j + 1 for j in range(1, n)},
-        where=f"B({n}) stage 1",
+    stages = (
+        # 1. reverse pebbles 2..n on board 2..n (one size down, shifted)
+        ([(a + 1, b + 1) for a, b in _dense_b(n - 1).moves],
+         (1,) + tuple(range(n, 1, -1))),
+        # 2. rotate the middle block into ascending order (two sizes down)
+        ([(a + 1, b + 1) for a, b in _dense_a(n - 2).moves],
+         (1,) + tuple(range(3, n + 1)) + (2,)),
+        # 3. the transposed sequence run backwards (each move undoes itself,
+        # so it walks C's end back to its start) descends the front
+        (_dense_c(n - 1).moves[::-1], tuple(range(n, 2, -1)) + (1, 2)),
+        # 4. one last exchange finishes the reversal
+        ([(n - 1, n)], reversal(n)),
     )
-    moves += mv
-    expect((1,) + tuple(range(n, 1, -1)), "stage 1")
-    # 2. rotate the middle block into ascending order (two sizes down)
-    cfg, mv = embed_subsequence(
-        host, cfg, _dense_a(n - 2),
-        {i: i + 1 for i in range(1, n - 1)},
-        {j: n + 1 - j for j in range(1, n - 1)},
-        where=f"B({n}) stage 2",
-    )
-    moves += mv
-    expect((1,) + tuple(range(3, n + 1)) + (2,), "stage 2")
-    # 3. the transposed sequence, replayed backwards, descends the front
-    pm = {j: n + 1 - j for j in range(1, n - 1)}
-    pm[n - 1] = 1
-    cfg, mv = embed_subsequence(
-        host, cfg, _dense_c(n - 1),
-        {i: i for i in range(1, n)},
-        pm,
-        where=f"B({n}) stage 3",
-    )
-    moves += mv
-    expect(tuple(range(n, 2, -1)) + (1, 2), "stage 3")
-    # 4. one last exchange finishes the reversal
-    cfg = apply_move(host, cfg, (n - 1, n))
-    moves.append((n - 1, n))
-    expect(reversal(n), "stage 4")
+    cfg, moves = tuple(range(1, n + 1)), []
+    for k, (stage, expect) in enumerate(stages, start=1):
+        where = f"reversal recursion n={n}, stage {k}"
+        try:
+            cfg = replay(host, cfg, stage)
+        except IllegalMoveError as exc:
+            raise SynthesisError(f"{where}: {exc}") from None
+        if cfg != expect:
+            raise SynthesisError(f"{where}: got {cfg}")
+        moves += stage
     return tuple(moves)
 
 

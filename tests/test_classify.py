@@ -22,7 +22,7 @@ from pebblex import (
     verify_square_lemma,
     wilson_feasible,
 )
-from pebblex import classify, flips, puzzle
+from pebblex import classify, flips, puzzle, squares
 from pebblex.classify import NOT_APPLICABLE, _partitions_min2
 from pebblex.puzzle import exchange_group_counts, is_peb_normal_in_aut
 from pebblex.names import graph_from_desc
@@ -344,6 +344,22 @@ def test_verify_square_lemma_small():
     assert r["rule"] == "replay"
     assert r["witness"]["failures"] == []
     assert r["witness"]["total_moves"] == 0 + 1 + 3 + 8 + 20 + 49
+
+
+@pytest.mark.parametrize("via, max_n", [("recursive", 6), ("bfs", 5)])
+def test_verify_square_lemma_replays_each_certificate_once(monkeypatch, via, max_n):
+    # seq_A returns a validated certificate on both routes; the sweep must
+    # not replay its moves a second time
+    calls = []
+    validate = squares.MoveCertificate.validate
+
+    def counting(cert):
+        calls.append(cert)
+        return validate(cert)
+
+    monkeypatch.setattr(squares.MoveCertificate, "validate", counting)
+    verify_square_lemma(max_n=max_n, bfs_max_n=0, via=via)
+    assert len(calls) == max_n
 
 
 def test_verify_parity_example():

@@ -1,5 +1,6 @@
 """Reversal synthesis on squared paths and the certificate wire format."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -24,9 +25,9 @@ from pebblex import (
     sequence_length,
     square,
 )
-from pebblex import flips, names
+from pebblex import flips, names, squares
 from pebblex.catalog import connected_graphs, trees
-from pebblex.errors import PuzzleError
+from pebblex.errors import PuzzleError, SynthesisError
 from pebblex.names import graph_from_desc
 from pebblex.perms import automorphisms
 
@@ -153,6 +154,53 @@ def test_seq_c_small_values():
     c4 = seq_C(4)
     assert c4.start == (1, 2, 3, 5)
     assert c4.end == (5, 3, 2, 1)
+
+
+# sha256 over the dense seq_B and seq_C moves for n = 1..16, as the reversal
+# recursion built them when it still searched each stage's orientation
+DENSE_BC_DIGEST = (
+    "e33e7870779bc0c018e58a1a56256aee588b7cab984c41216934581c5de05653"
+)
+
+
+def test_dense_b_and_c_moves_are_pinned():
+    h = hashlib.sha256()
+    for n in range(1, squares.MAX_RECURSIVE_N + 1):
+        h.update(repr(squares._dense_b(n).moves).encode())
+        h.update(repr(squares._dense_c(n).moves).encode())
+    assert h.hexdigest() == DENSE_BC_DIGEST
+
+
+@pytest.fixture
+def fresh_dense_caches():
+    # the recursion runs only on a cache miss: clear before, so that it
+    # runs, and after, so that no entry built from a broken stage outlives
+    # the test
+    caches = (squares._dense_a, squares._dense_b, squares._dense_c)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("broken, error", [
+    # (1, 4) shifts to (2, 5), board vertices three apart on the squared path
+    (lambda moves: ((1, 4),) + moves,
+     r"n=5, stage 2: board vertices 2 and 5 are not adjacent"),
+    (lambda moves: moves[:-1], r"n=5, stage 2: got \(1, 3, 5, 4, 2\)"),
+], ids=["illegal-move", "ends-elsewhere"])
+def test_reversal_recursion_refuses_a_broken_stage(
+        monkeypatch, fresh_dense_caches, broken, error):
+    real = squares._dense_a
+
+    def dense_a(n):
+        cert = real(n)
+        return dataclasses.replace(cert, moves=broken(cert.moves)) if n == 3 else cert
+
+    monkeypatch.setattr(squares, "_dense_a", dense_a)
+    with pytest.raises(SynthesisError, match=error):
+        squares._dense_b(5)
 
 
 def test_seq_a_endpoint_is_reachable_by_search():

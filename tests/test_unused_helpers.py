@@ -1,8 +1,9 @@
 """Every top-level function and class of the package is exported from
 ``pebblex/__init__.py`` or used by package code: a helper that only tests
 call is dead weight and gets deleted, with its tests moved to what it
-stood for.  Likewise every module-level import is used by its module, and
-every field of a private NamedTuple is read by package code."""
+stood for.  Likewise every import is read by the module or function that
+holds it, and every field of a private NamedTuple is read by package
+code."""
 
 import ast
 import collections
@@ -48,24 +49,45 @@ def _unused():
     return out
 
 
-def _unused_imports():
-    """Names bound by a module-level import that their module never reads;
-    ``__init__.py`` imports to re-export, so it is left out."""
+def _own_imports(scope):
+    """The import statements of a module or function body, leaving out
+    those of the functions nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unused_imports_in(stem, tree):
+    """Names bound by an import that the module or function holding the
+    import never reads, as module.name or module.function.name."""
+    scopes = [(stem, tree)] + [
+        (f"{stem}.{node.name}", node) for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
     out = []
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
-        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
-        for node in tree.body:
+    for where, scope in scopes:
+        read = {sub.id for sub in ast.walk(scope) if isinstance(sub, ast.Name)}
+        for node in _own_imports(scope):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    if name not in read:
-                        out.append(f"{path.stem}.{name}")
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    out.append(f"{where}.{name}")
     return sorted(out)
+
+
+def _unused_imports():
+    """Unused imports of every module but ``__init__.py``, which imports to
+    re-export."""
+    return sorted(
+        name for path in SRC.glob("*.py") if path.name != "__init__.py"
+        for name in _unused_imports_in(path.stem, ast.parse(path.read_text()))
+    )
 
 
 def _unread_fields():
@@ -94,6 +116,14 @@ def _unread_fields():
 
 def test_every_module_level_import_is_used():
     assert _unused_imports() == []
+    # an import inside a function counts as used only where that function
+    # reads it, and a module-level import only where its module does
+    tree = ast.parse(
+        "import re\n"
+        "def f():\n    import os\n    return g\n"
+        "def g(os):\n    return os\n"
+    )
+    assert _unused_imports_in("m", tree) == ["m.f.os", "m.re"]
 
 
 def test_every_top_level_helper_is_exported_or_used():
