@@ -37,7 +37,7 @@ import random
 
 import numpy as np
 
-from .graphs import Graph, distances_from, is_connected
+from .graphs import Graph, distances_from, is_connected, relabel_dense
 
 MAX_CONNECTED_N = 7
 MAX_TREE_N = 9
@@ -125,9 +125,7 @@ def canonical_key(g):
     n = g.n
     if n > _MAX_KEY_N:
         raise ValueError(f"canonical_key covers at most {_MAX_KEY_N} vertices, got {n}")
-    if g.vertices != tuple(range(1, n + 1)):
-        g = g.relabeled({v: i + 1 for i, v in enumerate(g.vertices)})
-    key = int(_canonical_keys([tuple(g.edges())], n)[0])
+    key = int(_canonical_keys([tuple(relabel_dense(g).edges())], n)[0])
     return key | (1 << n * (n - 1) // 2)
 
 

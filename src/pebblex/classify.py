@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -27,9 +28,7 @@ from .errors import PuzzleError
 from .flips import DEFAULT_FLIP_CAP, _flip_bfs, realize_by_flips
 from .graphs import (
     cartesian_product,
-    complement,
     complete_multipartite,
-    components,
     enumerate_matchings,
     girth,
     has_k_isthmus,
@@ -157,9 +156,11 @@ def multipartite_feasible(g, parts):
 def pebble_family(h):
     """Recognize a pebble graph as one of the closed-form families.
 
-    A graph is complete multipartite exactly when its complement is a
-    disjoint union of cliques; the parts are the complement's
-    components.  Returns (family, parameter):
+    Vertices with the same neighborhood form a class.  A graph is
+    complete multipartite exactly when each class's size plus its
+    neighborhood's size is n: each class is then independent and joined
+    to every vertex outside it, so the classes are the parts.  Returns
+    (family, parameter):
 
       ("kms", k)          k singleton parts (+ optionally one bigger part)
       ("wilson", None)    star: one singleton part, one part of size n-1
@@ -167,15 +168,10 @@ def pebble_family(h):
       ("multipart", parts) at least three parts, all of size >= 2
       (None, None)        anything else
     """
-    comp = complement(h)
-    parts = []
-    for vs in components(comp):
-        sub = comp.induced(vs)
-        k = len(vs)
-        if sub.m != k * (k - 1) // 2:
-            return None, None  # component is not a clique
-        parts.append(k)
-    parts.sort()
+    classes = Counter(h.adj.values())
+    if any(k + len(ns) != h.n for ns, k in classes.items()):
+        return None, None
+    parts = sorted(classes.values())
     ones = parts.count(1)
     big = [p for p in parts if p >= 2]
     if ones == len(parts):
@@ -318,7 +314,7 @@ def verify_product_theorem(g1, g2, cap=puzzle.DEFAULT_CAP, label=None):
     )
 
 
-def verify_square_lemma(max_n=12, bfs_max_n=7, via="recursive", cap=puzzle.DEFAULT_CAP):
+def verify_square_lemma(max_n=12, bfs_max_n=7, cap=puzzle.DEFAULT_CAP):
     """Build the reversal certificate on every squared path up to max_n,
     replay each one, and confirm the endpoint by brute-force search up
     to bfs_max_n vertices, each search capped at ``cap`` states."""
@@ -328,7 +324,7 @@ def verify_square_lemma(max_n=12, bfs_max_n=7, via="recursive", cap=puzzle.DEFAU
     bfs_states = 0
     for n in range(1, max_n + 1):
         try:
-            cert = squares.seq_A(n, via=via)  # replayed before it returns
+            cert = squares.seq_A(n)  # replayed before it returns
         except PuzzleError as exc:
             failures.append({"n": n, "error": str(exc)})
             continue
@@ -426,7 +422,7 @@ def verify_flip_lemma(max_n=7, oracle_max_n=6, jobs=None, cap=DEFAULT_FLIP_CAP):
     )
 
 
-def _partitions_min2(n, smallest=2):
+def _partitions_min2(n):
     """Non-decreasing partitions of n into >= 3 parts, each >= 2."""
     out = []
 
@@ -440,7 +436,7 @@ def _partitions_min2(n, smallest=2):
                 continue
             rec(rest - p, p, acc + [p])
 
-    rec(n, smallest, [])
+    rec(n, 2, [])
     return out
 
 

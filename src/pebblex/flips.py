@@ -138,16 +138,17 @@ def compose_flip_sequences(g, s1, s2):
     product applying s2's permutation first.  The combined sequence is
     replay-checked before being returned.
     """
-    tau = flip_sequence_permutation(g, s1)
+    def realized(flips):
+        return dict(zip(g.vertices, flip_sequence_permutation(g, flips)))
+
+    tau = realized(s1)
     if not is_automorphism(g, tau):
         raise ValueError(
             "the first sequence realizes a non-automorphism; concatenation "
             "after it is not replay-safe"
         )
-    mu = flip_sequence_permutation(g, s2)
     combined = list(s1) + list(s2)
-    got = flip_sequence_permutation(g, combined)
-    if got != compose(tau, mu):
+    if realized(combined) != compose(tau, realized(s2)):
         raise RealizationError(
             "concatenated flip sequence does not realize the product"
         )
@@ -269,9 +270,10 @@ def _select_dict(g, sig):
     sizes are read once off sig's cycles and sig^e(x) is a step e along
     x's cycle.  A fixed point x gives (0, 1, 1, x), the least key there
     is, so sig itself comes back at once with its first fixed point.
-    Otherwise a vertex that lands on a neighbor beats every farther one,
-    so distances are searched, each vertex's at most once, only when no
-    such vertex exists.
+    Without one, no coprime power fixes a vertex either: e is coprime to
+    every cycle length m >= 2, so (i + e) % m != i.  Then a vertex that
+    lands on a neighbor beats every farther one, so distances are
+    searched, each vertex's at most once, only when no such vertex exists.
     """
     for x in g.vertices:
         if sig[x] == x:
@@ -289,9 +291,7 @@ def _select_dict(g, sig):
             cyc, i = place[x]
             m = len(cyc)
             y = cyc[(i + e) % m]
-            if y == x:
-                near.append((0, m, e, x))
-            elif y in g.adj[x]:
+            if y in g.adj[x]:
                 near.append((1, m, e, x))
             else:
                 far.append((m, e, x, y))

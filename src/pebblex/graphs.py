@@ -88,9 +88,6 @@ class Graph:
     def has_vertex(self, v):
         return v in self.adj
 
-    def neighbors(self, v):
-        return tuple(sorted(self.adj[v]))
-
     def degree(self, v):
         return len(self.adj[v])
 

@@ -157,11 +157,10 @@ def _move_in_place(puz, cfg, move):
 
 
 def apply_move(puz, config, move):
-    """One pebble exchange; raises IllegalMoveError with the failed
-    condition spelled out."""
-    out = list(config)
-    _move_in_place(puz, out, move)
-    return tuple(out)
+    """One pebble exchange; raises PuzzleError unless ``config`` arranges
+    the pebbles, and IllegalMoveError with the failed condition spelled
+    out."""
+    return replay(puz, config, [move])
 
 
 def replay(puz, start, moves):

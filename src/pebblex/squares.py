@@ -221,16 +221,20 @@ def seq_A(n, via="recursive", allow_large=False):
     return cert.validate()
 
 
+def _minus_n(n):
+    """The squared (n+1)-path with vertex n deleted, and the map of the
+    dense labels 1..n onto its vertices (n goes to n+1)."""
+    rename = {v: (v if v < n else n + 1) for v in range(1, n + 1)}
+    return square(path(n + 1)).induced(rename.values()), rename
+
+
 def seq_B(n, allow_large=False):
     """Certificate reversing n pebbles on the squared (n+1)-path with
     vertex n deleted.  Board vertices keep their original names
     1..n-1, n+1; configurations are aligned to that sorted order."""
     _check_n(n, allow_large)
     dense = _dense_b(n)
-    if n == 1:
-        return dense.validate()
-    rename = {v: (v if v < n else n + 1) for v in range(1, n + 1)}
-    board = square(path(n + 1)).induced(set(range(1, n)) | {n + 1})
+    board, rename = _minus_n(n)
     moves = tuple((rename[a], rename[b]) for a, b in dense.moves)
     cert = MoveCertificate(
         Puz(board, dense.puz.pebbles),
@@ -249,10 +253,7 @@ def seq_C(n, allow_large=False):
     carries (1, ..., n-1, n+1) to (n+1, n-1, ..., 2, 1)."""
     _check_n(n, allow_large)
     dense = _dense_c(n)
-    if n == 1:
-        return dense.validate()
-    rename = {v: (v if v < n else n + 1) for v in range(1, n + 1)}
-    pebbles = square(path(n + 1)).induced(set(range(1, n)) | {n + 1})
+    pebbles, rename = _minus_n(n)
     cert = MoveCertificate(
         Puz(dense.puz.board, pebbles),
         tuple(rename[p] for p in dense.start),
@@ -333,7 +334,7 @@ def _move_line(no, raw):
         return f"line {no}: move line must be two integers"
 
 
-def parse_certificate(text, provenance="file"):
+def parse_certificate(text):
     """Rebuild a certificate from its text form.
 
     Raises ValueError (naming the line) on format problems.  The replay
@@ -398,5 +399,5 @@ def parse_certificate(text, provenance="file"):
     return MoveCertificate(
         puz, start, end, tuple(moves),
         board_desc=parts["board"], pebbles_desc=parts["pebbles"],
-        provenance=provenance,
+        provenance="file",
     )

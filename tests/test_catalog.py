@@ -83,6 +83,12 @@ def test_canonical_key_is_relabel_invariant():
         assert canonical_key(relab) == canonical_key(g)
 
 
+def test_canonical_key_of_gapped_labels_is_that_of_the_dense_relabeling():
+    gapped = Graph([3, 10, 11, 40], [(3, 10), (10, 11), (10, 40), (11, 40)])
+    dense = Graph(range(1, 5), [(1, 2), (2, 3), (2, 4), (3, 4)])
+    assert canonical_key(gapped) == canonical_key(dense)
+
+
 def test_canonical_key_separates_non_isomorphic():
     p4 = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
     star = Graph(range(1, 5), [(1, 2), (1, 3), (1, 4)])

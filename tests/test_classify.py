@@ -1,5 +1,7 @@
 """Closed-form feasibility predicates, family recognition, verifier reports."""
 
+import itertools
+
 import pytest
 
 from pebblex import (
@@ -8,6 +10,7 @@ from pebblex import (
     Puz,
     bipartite_pebbles_feasible,
     classify_instance,
+    complement,
     complete_multipartite,
     girth5_reachable_oracle,
     is_feasible,
@@ -24,6 +27,7 @@ from pebblex import (
 )
 from pebblex import classify, flips, puzzle, squares
 from pebblex.classify import NOT_APPLICABLE, _partitions_min2
+from pebblex.graphs import components
 from pebblex.puzzle import exchange_group_counts, is_peb_normal_in_aut
 from pebblex.names import graph_from_desc
 
@@ -195,6 +199,55 @@ def test_pebble_family_branches():
     assert pebble_family(g("c5")) == (None, None)
 
 
+def _family_by_complement(h):
+    """The reference: h is complete multipartite exactly when its
+    complement is a disjoint union of cliques, whose sizes are the parts."""
+    comp = complement(h)
+    parts = []
+    for vs in components(comp):
+        k = len(vs)
+        if comp.induced(vs).m != k * (k - 1) // 2:
+            return None, None
+        parts.append(k)
+    parts.sort()
+    ones, big = parts.count(1), [p for p in parts if p >= 2]
+    if ones == len(parts):
+        return "kms", len(parts)
+    if len(big) == 1 and ones == 1:
+        return "wilson", None
+    if len(big) == 1 and ones >= 2:
+        return "kms", ones
+    if not ones and len(big) == 2:
+        return "two-part", big[0]
+    if not ones and len(big) >= 3:
+        return "multipart", tuple(parts)
+    return None, None
+
+
+def _partitions(n, smallest=1):
+    if n == 0:
+        yield ()
+    for p in range(smallest, n + 1):
+        for rest in _partitions(n - p, p):
+            yield (p,) + rest
+
+
+def test_pebble_family_matches_the_complement_reference():
+    # every labeled graph on 1-5 vertices, then every complete multipartite
+    # graph up to 10 vertices
+    graphs = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            graphs.append(Graph(range(1, n + 1),
+                                [e for i, e in enumerate(pairs) if mask >> i & 1]))
+    graphs += [complete_multipartite(*parts)
+               for n in range(1, 11) for parts in _partitions(n)]
+    assert len(graphs) == 1099 + 138
+    for h in graphs:
+        assert pebble_family(h) == _family_by_complement(h), h.edges()
+
+
 def test_classify_instance_dispatch():
     fam, v = classify_instance(g("c6"), g("star5"))
     assert fam == "wilson" and v.rule == "cycle"
@@ -202,6 +255,16 @@ def test_classify_instance_dispatch():
     assert fam == "kms" and v == FeasibilityVerdict(True, True, "default")
     fam, v = classify_instance(g("p4"), complete_multipartite(1, 1, 2))
     assert fam == "kms" and v.witness == (2, 3)
+    fam, v = classify_instance(g("p5"), complete_multipartite(2, 3))
+    assert fam == "two-part" and v == FeasibilityVerdict(True, False, "bipartite")
+    fam, v = classify_instance(g("p6"), complete_multipartite(2, 2, 2))
+    assert fam == "multipart" and v.rule == "k-isthmus" and v.witness == (2, 3, 4, 5)
+    fam, v = classify_instance(g("k6"), complete_multipartite(2, 2, 2))
+    assert fam == "multipart" and v == FeasibilityVerdict(True, True, "default")
+    # one singleton part next to two bigger ones is no family
+    assert pebble_family(complete_multipartite(1, 2, 2)) == (None, None)
+    fam, v = classify_instance(g("p5"), complete_multipartite(1, 2, 2))
+    assert fam is None and v == FeasibilityVerdict(False, None, NOT_APPLICABLE)
     fam, v = classify_instance(g("c5"), g("c5"))
     assert fam is None and v.rule == NOT_APPLICABLE
     with pytest.raises(ValueError):
@@ -346,10 +409,9 @@ def test_verify_square_lemma_small():
     assert r["witness"]["total_moves"] == 0 + 1 + 3 + 8 + 20 + 49
 
 
-@pytest.mark.parametrize("via, max_n", [("recursive", 6), ("bfs", 5)])
-def test_verify_square_lemma_replays_each_certificate_once(monkeypatch, via, max_n):
-    # seq_A returns a validated certificate on both routes; the sweep must
-    # not replay its moves a second time
+def test_verify_square_lemma_replays_each_certificate_once(monkeypatch):
+    # seq_A returns a validated certificate; the sweep must not replay its
+    # moves a second time
     calls = []
     validate = squares.MoveCertificate.validate
 
@@ -358,8 +420,8 @@ def test_verify_square_lemma_replays_each_certificate_once(monkeypatch, via, max
         return validate(cert)
 
     monkeypatch.setattr(squares.MoveCertificate, "validate", counting)
-    verify_square_lemma(max_n=max_n, bfs_max_n=0, via=via)
-    assert len(calls) == max_n
+    verify_square_lemma(max_n=6, bfs_max_n=0)
+    assert len(calls) == 6
 
 
 def test_verify_parity_example():

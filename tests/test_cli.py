@@ -127,6 +127,16 @@ def test_flips_round_trip(capsys, tmp_path):
     assert rep["permutation"] == [2, 3, 4, 5, 1]
 
 
+def test_perm_may_name_a_file(capsys, tmp_path):
+    perm = tmp_path / "rot.perm"
+    perm.write_text("2 3 4 5 1\n")
+    code, rep = run_json(capsys, "flips", "--graph", "c5", "--perm", str(perm),
+                         "--no-timing")
+    assert code == 0
+    assert rep["permutation"] == [2, 3, 4, 5, 1]
+    assert rep["cycles"] == "(1 2 3 4 5)"
+
+
 def test_flips_rejects_non_automorphism(capsys):
     code, out = run(capsys, "flips", "--graph", "p4", "--perm", "2 1 3 4")
     assert code == 2
@@ -317,6 +327,14 @@ def test_verify_lemma_square_small(capsys):
     code, rep = run_json(capsys, "verify", "lemma-square", "--max-n", "6",
                          "--no-timing")
     assert code == 0
+    assert rep["verdict"] is True
+
+
+def test_verify_examples_small(capsys):
+    code, rep = run_json(capsys, "verify", "examples", "--max-n", "4",
+                         "--no-timing")
+    assert code == 0
+    assert rep["suite"] == "examples"
     assert rep["verdict"] is True
 
 

@@ -184,6 +184,18 @@ def test_compose_flip_sequences_realizes_product():
     assert flip_sequence_permutation(g, combined) == compose(tau, mu)
 
 
+@pytest.mark.parametrize("scale", [1, 10])
+def test_compose_flip_sequences_works_on_any_labels(scale):
+    # c5 and its copy relabeled v -> 10v accept the same pair of flips,
+    # each a reflection, and refuse the same swap as a first sequence
+    g = cycle(5).relabeled({v: scale * v for v in range(1, 6)})
+    s1 = [tuple(scale * v for v in (1, 2, 3, 4, 5))]
+    s2 = [tuple(scale * v for v in (2, 3, 4, 5))]
+    assert compose_flip_sequences(g, s1, s2) == s1 + s2
+    with pytest.raises(ValueError, match="non-automorphism"):
+        compose_flip_sequences(g, [(scale, 2 * scale)], s1)
+
+
 def test_compose_flip_sequences_rejects_non_automorphism_prefix():
     g = path(4)
     # a single swap at the end of the path is not an automorphism of P4

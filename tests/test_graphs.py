@@ -33,6 +33,7 @@ from pebblex.graphs import (
     join,
     parse_graph,
     path,
+    relabel_dense,
     shortest_path,
     square,
     star,
@@ -210,6 +211,14 @@ def test_distances():
     p = shortest_path(path(5), 1, 5)
     assert p == [1, 2, 3, 4, 5]
     assert shortest_path(Graph([1, 2]), 1, 2) is None
+    assert shortest_path(path(5), 3, 3) == [3]
+
+
+def test_relabel_dense():
+    g = path(4)
+    assert relabel_dense(g) is g
+    gapped = Graph([2, 5, 7, 9], [(2, 5), (5, 9), (9, 7)])
+    assert relabel_dense(gapped) == Graph(range(1, 5), [(1, 2), (2, 4), (4, 3)])
 
 
 def test_girth():

@@ -19,6 +19,7 @@ from pebblex.perms import (
     is_automorphism,
     is_identity,
     is_perm,
+    isomorphisms,
     parse_perm,
     perm_order,
     perm_power,
@@ -180,6 +181,13 @@ def test_automorphisms_dict_matches_tuple_version():
     # works on non-dense labels too
     h = g.relabeled({1: 10, 2: 20, 3: 30, 4: 40})
     assert len(automorphisms_dict(h)) == 8
+
+
+def test_isomorphisms_between_graphs_of_different_sizes_yield_nothing():
+    assert list(isomorphisms(path(3), path(4))) == []  # orders differ
+    assert list(isomorphisms(path(4), cycle(4))) == []  # edge counts differ
+    h = path(3).relabeled({1: 5, 2: 7, 3: 9})
+    assert list(isomorphisms(path(3), h)) == [{1: 5, 2: 7, 3: 9}, {1: 9, 2: 7, 3: 5}]
 
 
 def test_group_summary():

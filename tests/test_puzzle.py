@@ -13,7 +13,7 @@ from pebblex import puzzle as _p
 from pebblex.catalog import connected_graphs
 from pebblex.classify import girth5_reachable_oracle
 from pebblex.errors import CapExceededError, IllegalMoveError, PuzzleError
-from pebblex.flips import flip_bfs_oracle, flip_bfs_witness, flip_reachable_set
+from pebblex.flips import apply_flip, flip_bfs_oracle, flip_bfs_witness, flip_reachable_set
 from pebblex.graphs import (
     Graph,
     cartesian_product,
@@ -72,6 +72,18 @@ def test_apply_move():
     assert out == (2, 3, 1)
 
 
+@pytest.mark.parametrize("cfg", [(9, 1, 2), (1, 2)])
+def test_apply_move_checks_its_configuration(cfg):
+    # as apply_flip does: a tuple that is no arrangement of the pebbles is
+    # refused, not moved
+    pz = puz_on(path(3))
+    move = (2, 3) if len(cfg) == 3 else (1, 2)
+    with pytest.raises(PuzzleError, match="not an arrangement of the pebbles"):
+        apply_move(pz, cfg, move)
+    with pytest.raises(PuzzleError, match="not an arrangement of the pebbles"):
+        apply_flip(pz, cfg, move)
+
+
 def test_illegal_moves_are_distinguished():
     pz = Puz(path(3), star(2))  # pebble 2 and 3 not adjacent
     with pytest.raises(IllegalMoveError) as e1:
@@ -122,9 +134,9 @@ def test_apply_move_and_replay_leave_their_inputs_alone():
 
 
 def test_replay_agrees_with_one_move_at_a_time():
-    # replay makes legal moves without apply_move's checks; it must end where
-    # apply_move ends, or fail at the same move with the same message, also
-    # on gapped labels and for moves given as lists
+    # replay makes legal moves without _move_in_place's checks; it must end
+    # where _move_in_place ends, or fail at the same move with the same
+    # message, also on gapped labels and for moves given as lists
     board = graph_from_desc("p6^2~3")
     pebbles = Graph([2, 4, 6, 8, 10], [(u, v) for u in range(2, 11, 2)
                                        for v in range(u + 2, 11, 2) if (u, v) != (2, 4)])
@@ -138,10 +150,10 @@ def test_replay_agrees_with_one_move_at_a_time():
                  else (rng.choice(labels), rng.choice(labels)) for _ in range(6)]
         moves = [mv[::-1] if rng.random() < 0.5 else mv for mv in moves]
         try:
-            cfg = start
+            cfg = list(start)
             for mv in moves:
-                cfg = apply_move(pz, cfg, mv)
-            want = cfg
+                _p._move_in_place(pz, cfg, mv)
+            want = tuple(cfg)
         except IllegalMoveError as exc:
             want = str(exc)
         for given in (moves, [list(mv) for mv in moves]):

@@ -156,6 +156,17 @@ def test_seq_c_small_values():
     assert c4.end == (5, 3, 2, 1)
 
 
+@pytest.mark.parametrize("build", [seq_B, seq_C])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_seq_b_and_c_agree_with_their_descriptors(build, n):
+    # n = 1 included: the board of seq_B(1) is vertex 2, as p2^2~1 names it
+    cert = build(n)
+    assert graph_from_desc(cert.board_desc) == cert.puz.board
+    assert graph_from_desc(cert.pebbles_desc) == cert.puz.pebbles
+    back = parse_certificate(format_certificate(cert)).validate()
+    assert (back.start, back.end, back.moves) == (cert.start, cert.end, cert.moves)
+
+
 # sha256 over the dense seq_B and seq_C moves for n = 1..16, as the reversal
 # recursion built them when it still searched each stage's orientation
 DENSE_BC_DIGEST = (

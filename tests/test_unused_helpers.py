@@ -2,8 +2,10 @@
 ``pebblex/__init__.py`` or used by package code: a helper that only tests
 call is dead weight and gets deleted, with its tests moved to what it
 stood for.  Likewise every import is read by the module or function that
-holds it, and every field of a private NamedTuple is read by package
-code."""
+holds it, every field of a private NamedTuple is read by package code,
+every method and property of a package class is referred to by package
+code outside its own body, and every defaulted parameter of a private
+module-level function is passed by some package call."""
 
 import ast
 import collections
@@ -35,8 +37,12 @@ def _referenced(node):
     return refs
 
 
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+
 def _unused():
-    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    trees = _package_trees()
     everywhere = sum((_referenced(t) for t in trees.values()), collections.Counter())
     out = []
     for module, tree in trees.items():
@@ -94,7 +100,7 @@ def _unread_fields():
     """Fields of the package's private NamedTuples that no package code
     reads.  A read is an attribute load of the field's name, or the name in
     a tuple-unpacking target, which reads a field by its position."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    trees = _package_trees()
     read = set()
     for sub in (sub for tree in trees.values() for sub in ast.walk(tree)):
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
@@ -111,6 +117,56 @@ def _unread_fields():
                     and any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)):
                 out += [f"{module}.{node.name}.{stmt.target.id}" for stmt in node.body
                         if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
+    return sorted(out)
+
+
+def _unreferenced_methods(trees):
+    """Methods and properties of top-level classes, other than __dunder__
+    names, that no code outside the method's own body refers to."""
+    everywhere = sum((_referenced(t) for t in trees.values()), collections.Counter())
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not (node.name.startswith("__") and node.name.endswith("__"))
+                        and everywhere[node.name] == _referenced(node)[node.name]):
+                    out.append(f"{module}.{cls.name}.{node.name}")
+    return sorted(out)
+
+
+def _passes(call, position, name):
+    """Does call pass the parameter ``name``, at ``position`` (None when
+    keyword-only)?  A *args or **kwargs counts as passing what it could."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unset_defaults(trees):
+    """Parameters with a default, of private module-level functions, that
+    no call by the function's name passes, by position or by keyword."""
+    calls = [sub for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Call)]
+    out = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(None, arg.arg) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            mine = [c for c in calls
+                    if getattr(c.func, "id", getattr(c.func, "attr", None)) == fn.name]
+            out += [f"{module}.{fn.name}.{name}" for i, name in defaulted
+                    if not any(_passes(c, i, name) for c in mine)]
     return sorted(out)
 
 
@@ -137,3 +193,31 @@ def test_test_only_list_names_live_helpers():
 
 def test_every_private_named_tuple_field_is_read():
     assert _unread_fields() == []
+
+
+def test_every_method_is_referred_to_outside_itself():
+    assert _unreferenced_methods(_package_trees()) == []
+    # a recursive call is no use, a call from another module is one, and
+    # dunder methods are left alone
+    trees = {
+        "a": ast.parse(
+            "class C:\n"
+            "    def __len__(self):\n        return 0\n"
+            "    def walk(self):\n        return self.walk()\n"
+            "    def used(self):\n        return 1\n"
+            "    @property\n    def size(self):\n        return 2\n"
+        ),
+        "b": ast.parse("def f(c):\n    return c.used()\n"),
+    }
+    assert _unreferenced_methods(trees) == ["a.C.size", "a.C.walk"]
+
+
+def test_every_default_of_a_private_function_is_passed_somewhere():
+    assert _unset_defaults(_package_trees()) == []
+    tree = ast.parse(
+        "def _f(a, b=1, c=2, *, d=3):\n    return a\n"
+        "def _g(a, b=1):\n    return a\n"
+        "def public(a, b=1):\n    return a\n"
+        "def h():\n    return _f(0, 1) + _f(0, d=4) + _g(*[0, 1])\n"
+    )
+    assert _unset_defaults({"m": tree}) == ["m._f.c"]
