@@ -28,7 +28,10 @@ class Graph:
     """Immutable simple undirected graph.
 
     ``vertices`` is a sorted tuple of positive ints, ``adj`` maps each vertex
-    to a frozenset of neighbors.  No loops, no multi-edges.
+    to a frozenset of neighbors.  No loops, no multi-edges.  The edge count
+    ``m``, the sorted edge tuple of ``edges()`` and the position dict behind
+    ``index_of`` are built on first read: most subgraphs the flip realizer
+    makes never read any of them.
     """
 
     __slots__ = ("vertices", "adj", "_m", "_index", "_edges")
@@ -52,12 +55,13 @@ class Graph:
 
     def _fill(self, vs, adj):
         """Set every slot from a sorted vertex tuple and a frozenset
-        adjacency that are already known to be valid."""
+        adjacency that are already known to be valid.  ``m``, ``edges()``
+        and ``positions()`` fill the other three on first read."""
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "_m", sum(map(len, adj.values())) // 2)
-        object.__setattr__(self, "_index", dict(zip(vs, range(len(vs)))))
-        object.__setattr__(self, "_edges", None)  # edges() fills it
+        object.__setattr__(self, "_m", None)
+        object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -72,6 +76,8 @@ class Graph:
 
     @property
     def m(self):
+        if self._m is None:
+            object.__setattr__(self, "_m", sum(map(len, self.adj.values())) // 2)
         return self._m
 
     def edges(self):
@@ -91,9 +97,20 @@ class Graph:
     def degree(self, v):
         return len(self.adj[v])
 
+    def positions(self):
+        """Dict from each vertex to its position in the sorted vertex tuple,
+        built on the first call."""
+        if self._index is None:
+            vs = self.vertices
+            object.__setattr__(self, "_index", dict(zip(vs, range(len(vs)))))
+        return self._index
+
     def index_of(self, v):
         """Position of v in the sorted vertex tuple."""
-        return self._index[v]
+        try:
+            return self._index[v]
+        except TypeError:  # None until positions() builds the dict
+            return self.positions()[v]
 
     def is_dense_labeled(self):
         return self.vertices == tuple(range(1, self.n + 1))
@@ -155,16 +172,15 @@ def parse_graph(text):
     than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` edges is refused before
     anything is allocated.
     """
-    header = None
-    edges = []
-    seen = set()
+    adj = None  # vertex -> neighbor set from the header on, filled per edge
+    found = 0
     n = m = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if header is None:
+        if adj is None:
             if len(parts) != 2:
                 raise GraphParseError("header must be 'n m'", line_no)
             try:
@@ -181,9 +197,9 @@ def parse_graph(text):
                     f"are limited to {MAX_VERTICES} vertices and {MAX_EDGES} edges",
                     line_no,
                 )
-            header = (n, m)
+            adj = {v: set() for v in range(1, n + 1)}
             continue
-        if len(edges) >= m:
+        if found >= m:
             raise GraphParseError(f"more than the declared {m} edges", line_no)
         if len(parts) != 2:
             raise GraphParseError("edge line must be 'u v'", line_no)
@@ -197,15 +213,18 @@ def parse_graph(text):
             raise GraphParseError(
                 f"edge ({u},{v}) out of range, need 1 <= u < v <= {n}", line_no
             )
-        if (u, v) in seen:
+        if v in adj[u]:
             raise GraphParseError(f"duplicate edge ({u},{v})", line_no)
-        seen.add((u, v))
-        edges.append((u, v))
-    if header is None:
+        adj[u].add(v)
+        adj[v].add(u)
+        found += 1
+    if adj is None:
         raise GraphParseError("empty input, expected 'n m' header", 1)
-    if len(edges) != m:
-        raise GraphParseError(f"declared {m} edges but found {len(edges)}", 1)
-    return Graph(range(1, n + 1), edges)
+    if found != m:
+        raise GraphParseError(f"declared {m} edges but found {found}", 1)
+    g = Graph.__new__(Graph)
+    g._fill(tuple(adj), {v: frozenset(ns) for v, ns in adj.items()})
+    return g
 
 
 def format_graph(g):
@@ -248,34 +267,38 @@ def shortest_path(g, u, v):
 def shortest_path_to_set(g, src, targets):
     """Deterministic shortest path from src to the nearest vertex of
     ``targets`` (smallest label among nearest).  Only the last vertex lies in
-    the target set.  Returns None when unreachable."""
+    the target set.  Returns None when unreachable; a source the graph
+    lacks raises ValueError."""
+    adj = g.adj
+    if src not in adj:
+        raise ValueError(f"source vertex {src} is not in the graph")
     targets = set(targets)
     if src in targets:
         return [src]
-    # BFS that never expands a target vertex, so each target's recorded
-    # distance is over paths whose interior avoids the whole set.
+    # BFS level by level, up to the first level that holds a target: the
+    # walk back reads only the distances of nearer vertices, none of which
+    # is a target, so it always steps to the smallest-labeled predecessor
     dist = {src: 0}
-    q = deque([src])
-    while q:
-        v = q.popleft()
-        for w in g.adj[v]:
-            if w in dist:
-                continue
-            dist[w] = dist[v] + 1
-            if w not in targets:
-                q.append(w)
-    hit = [t for t in targets if t in dist]
+    level = [src]
+    d = 0
+    hit = []
+    while level and not hit:
+        d += 1
+        nxt = []
+        for v in level:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+                    if w in targets:
+                        hit.append(w)
+        level = nxt
     if not hit:
         return None
-    d_best = min(dist[t] for t in hit)
-    y = min(t for t in hit if dist[t] == d_best)
-    rpath = [y]
-    cur = y
-    while cur != src:
-        cur = min(
-            w for w in g.adj[cur]
-            if dist.get(w, INF) == dist[cur] - 1 and w not in targets
-        )
+    cur = min(hit)
+    rpath = [cur]
+    for k in range(d - 1, -1, -1):
+        cur = min(w for w in adj[cur] if dist.get(w) == k)
         rpath.append(cur)
     rpath.reverse()
     return rpath

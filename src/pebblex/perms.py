@@ -154,11 +154,20 @@ def parse_perm(text, n=None):
 # automorphisms
 
 def is_automorphism(g, p):
-    """Does p map g's vertices onto themselves and preserve adjacency?"""
+    """Does p map g's vertices onto themselves and preserve adjacency?
+
+    Reads ``g.adj`` alone, so a new subgraph builds no edge tuple; each
+    edge is checked from both ends, which gives the same answer because
+    the adjacency is symmetric."""
     p, adj = _as_dict(p), g.adj
     if p.keys() != adj.keys() or set(p.values()) != adj.keys():
         return False
-    return all(p[v] in adj[p[u]] for u, v in g.edges())
+    for v, ns in adj.items():
+        image_ns = adj[p[v]]
+        for w in ns:
+            if p[w] not in image_ns:
+                return False
+    return True
 
 
 class _Tables(NamedTuple):

@@ -173,7 +173,7 @@ def replay(puz, start, moves):
     """
     cfg = list(check_configuration(puz, start))
     board_adj = puz.board.adj
-    index = puz.board._index  # the dict board.index_of reads, without a call
+    index = puz.board.positions()  # what board.index_of reads, without a call
     pebble_adj = puz.pebbles.adj
     for x1, x2 in moves:
         if x2 in board_adj.get(x1, ()):
@@ -844,7 +844,7 @@ def transpose_sequence(puz, start, moves):
     step, and the result is revalidated here before being returned.
     """
     cfg = list(check_configuration(puz, start))
-    index = puz.board._index
+    index = puz.board.positions()
     t_moves = []
     for x1, x2 in moves:
         _move_in_place(puz, cfg, (x1, x2))

@@ -623,6 +623,41 @@ def test_realize_every_automorphism_small_graphs():
     assert total == 299
 
 
+def test_realizer_frames_build_no_edge_tuple_or_position_dict(monkeypatch):
+    # the subgraphs and rebuilt graphs of the realizer's frames read only
+    # their adjacency: counted through the two builders, each wrapped to
+    # record a graph whose cache slot is still empty when it is called
+    rng = random.Random(29)
+    boards = list(connected_graphs(5)) + [graph_from_desc("q3"),
+                                          graph_from_desc("p6^2")]
+    for g in boards:  # the input board's own fields may be read
+        g.edges()
+        g.positions()
+    built = []
+    edges, positions = Graph.edges, Graph.positions
+
+    def counted_edges(self):
+        if self._edges is None:
+            built.append(("edges", self))
+        return edges(self)
+
+    def counted_positions(self):
+        if self._index is None:
+            built.append(("positions", self))
+        return positions(self)
+
+    monkeypatch.setattr(Graph, "edges", counted_edges)
+    monkeypatch.setattr(Graph, "positions", counted_positions)
+    realized = 0
+    for g in boards:
+        auts = automorphisms(g)
+        for sigma in rng.sample(auts, min(len(auts), 8)):
+            assert flip_sequence_permutation(g, realize_by_flips(g, sigma)) == sigma
+            realized += 1
+    assert realized == 110
+    assert built == []
+
+
 # sha256 over repr(realize_by_flips(g, sigma)) for every automorphism of
 # every connected 6-vertex board (1,650 of them).  Unlike the boards behind
 # COMPILED_DIGEST, these reach the spanning quotient split, the tail

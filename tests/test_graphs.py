@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+from collections import deque
+from itertools import combinations
 
 import pytest
 
@@ -35,6 +37,7 @@ from pebblex.graphs import (
     path,
     relabel_dense,
     shortest_path,
+    shortest_path_to_set,
     square,
     star,
     theta_122,
@@ -105,6 +108,17 @@ def test_parse_format_round_trip():
     text = "# a comment\n3 2\n1 2\n2 3\n"
     g2 = parse_graph(text)
     assert g2.vertices == (1, 2, 3) and g2.m == 2
+
+
+def test_parse_graph_inverts_format_graph():
+    for g in (g for n in range(1, 7) for g in connected_graphs(n)):
+        back = parse_graph(format_graph(g))
+        assert back == g and back.edges() == g.edges()
+    # the trailing vertices 3..5 have no edge line, yet are vertices
+    tail = parse_graph("5 1\n1 2\n")
+    assert tail == Graph(range(1, 6), [(1, 2)])
+    assert tail.vertices == (1, 2, 3, 4, 5) and tail.adj[5] == frozenset()
+    assert format_graph(tail) == "5 1\n1 2\n"
 
 
 @pytest.mark.parametrize(
@@ -212,6 +226,121 @@ def test_distances():
     assert p == [1, 2, 3, 4, 5]
     assert shortest_path(Graph([1, 2]), 1, 2) is None
     assert shortest_path(path(5), 3, 3) == [3]
+
+
+def _shortest_path_to_set_reference(g, src, targets):
+    # BFS over the whole component that never expands a target, then the
+    # walk back through smallest-labeled predecessors
+    targets = set(targets)
+    if src in targets:
+        return [src]
+    dist = {src: 0}
+    q = deque([src])
+    while q:
+        v = q.popleft()
+        for w in g.adj[v]:
+            if w in dist:
+                continue
+            dist[w] = dist[v] + 1
+            if w not in targets:
+                q.append(w)
+    hit = [t for t in targets if t in dist]
+    if not hit:
+        return None
+    d_best = min(dist[t] for t in hit)
+    y = min(t for t in hit if dist[t] == d_best)
+    rpath = [y]
+    cur = y
+    while cur != src:
+        cur = min(
+            w for w in g.adj[cur]
+            if dist.get(w, math.inf) == dist[cur] - 1 and w not in targets
+        )
+        rpath.append(cur)
+    rpath.reverse()
+    return rpath
+
+
+def test_shortest_path_to_set_matches_the_whole_component_bfs():
+    boards = [g for n in range(1, 7) for g in connected_graphs(n)]
+    boards += [Graph(range(1, 6), [(1, 2), (3, 4), (4, 5)]),  # disconnected
+               Graph([2, 5, 9], [(2, 9)])]  # gapped, with an isolated vertex
+    answers = {"none": 0, "source": 0, "path": 0}
+    for g in _with_gapped_labels(boards):
+        sets = [ts for k in (1, 2) for ts in combinations(g.vertices, k)]
+        for src in g.vertices:
+            for ts in sets:
+                got = shortest_path_to_set(g, src, ts)
+                assert got == _shortest_path_to_set_reference(g, src, ts)
+                if got is None:
+                    answers["none"] += 1
+                elif got == [src]:
+                    answers["source"] += 1
+                else:
+                    assert got[0] == src and got[-1] in ts
+                    assert not set(got[:-1]) & set(ts)
+                    answers["path"] += 1
+    assert all(answers.values())
+    assert shortest_path_to_set(cycle(6), 1, (3, 5)) == [1, 2, 3]
+    assert shortest_path_to_set(cycle(6), 4, (2, 4)) == [4]
+    assert shortest_path_to_set(Graph(range(1, 5), [(1, 2), (3, 4)]), 1, (4,)) is None
+
+
+def test_shortest_path_to_set_refuses_a_missing_source():
+    with pytest.raises(ValueError, match="^source vertex 9 is not in the graph$"):
+        shortest_path_to_set(path(4), 9, [1])
+    with pytest.raises(ValueError, match="vertex 9"):
+        shortest_path_to_set(path(4), 9, [9])
+    with pytest.raises(ValueError, match=r"^vertex out of range: \(9,1\)$"):
+        shortest_path(path(4), 9, 1)
+
+
+def _eager_fields(g):
+    # m, edges() and the position dict built straight from the adjacency
+    edges = tuple(sorted((u, v) for u in g.adj for v in g.adj[u] if u < v))
+    return len(edges), edges, {v: i for i, v in enumerate(sorted(g.adj))}
+
+
+# a fresh graph from each way one is made, nothing read from it yet
+LAZY_BUILDS = {
+    "init": lambda: Graph([5, 1, 3, 2], [(1, 2), (2, 3), (3, 5)]),
+    "induced": lambda: cycle(7).induced([1, 2, 3, 5, 6]),
+    "square": lambda: square(path(6)),
+    "relabeled": lambda: cycle(5).relabeled({v: 10 * v for v in range(1, 6)}),
+    "parse_graph": lambda: parse_graph("6 4\n1 2\n2 3\n1 3\n4 5\n"),
+}
+
+
+@pytest.mark.parametrize("build", LAZY_BUILDS.values(), ids=LAZY_BUILDS)
+def test_lazy_graph_fields_match_eagerly_built_values(build):
+    m, edges, index = _eager_fields(build())
+    eager = Graph(index, edges)
+    # each field read first on a graph of its own, then the rest
+    for first in ("m", "edges", "index_of", "hash", "eq", "pickle", "copy"):
+        g = build()
+        if first == "m":
+            assert g.m == m
+        elif first == "edges":
+            assert g.edges() == edges
+        elif first == "index_of":
+            assert [g.index_of(v) for v in index] == list(index.values())
+        elif first == "hash":
+            assert hash(g) == hash(eager)
+        elif first == "eq":
+            assert g == eager and eager == g
+        else:
+            dups = ([pickle.loads(pickle.dumps(g))] if first == "pickle"
+                    else [copy.copy(g), copy.deepcopy(g)])
+            for dup in dups:
+                assert dup == g and hash(dup) == hash(g)
+                assert (dup.m, dup.edges(), dup.positions()) == (m, edges, index)
+        assert (g.m, g.edges(), g.positions()) == (m, edges, index)
+        assert [g.index_of(v) for v in index] == list(index.values())
+        assert g == eager and hash(g) == hash(eager)
+        with pytest.raises(KeyError):
+            g.index_of(max(index) + 1)
+    with pytest.raises(KeyError):
+        build().index_of(max(index) + 1)  # before the dict is built, too
 
 
 def test_relabel_dense():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -138,6 +139,52 @@ def test_is_automorphism_on_gapped_labels():
     assert not is_automorphism(g, {1: 1, 3: 3})
     assert not is_automorphism(g, {1: 1, 3: 3, 5: 1})  # not onto
     assert not is_automorphism(g, {1: 1, 3: 3, 4: 5})  # 4 is no vertex
+
+
+def _is_automorphism_reference(g, p):
+    # bijection precheck, then every sorted edge (u, v) with u < v
+    p = p if isinstance(p, dict) else dict(enumerate(p, 1))
+    if p.keys() != g.adj.keys() or set(p.values()) != g.adj.keys():
+        return False
+    edges = sorted((u, v) for u in g.adj for v in g.adj[u] if u < v)
+    return all(p[v] in g.adj[p[u]] for u, v in edges)
+
+
+def test_is_automorphism_matches_the_sorted_edge_reference():
+    boards = [g for n in range(1, 6) for g in connected_graphs(n)]
+    found = 0
+    for g in boards:
+        gapped = g.relabeled({v: 3 * v + 1 for v in g.vertices})
+        for p in itertools.permutations(g.vertices):
+            want = _is_automorphism_reference(g, p)
+            assert is_automorphism(g, p) == want
+            assert is_automorphism(g, dict(zip(g.vertices, p))) == want
+            gp = {3 * v + 1: 3 * w + 1 for v, w in zip(g.vertices, p)}
+            assert _is_automorphism_reference(gapped, gp) == want
+            assert is_automorphism(gapped, gp) == want
+            found += want
+    assert found == sum(automorphism_count(g) for g in boards)
+    lone = Graph(range(1, 5), [(1, 2), (2, 3)])  # vertex 4 is isolated
+    for p in itertools.permutations(lone.vertices):
+        want = _is_automorphism_reference(lone, p)
+        assert is_automorphism(lone, p) == want
+        assert want == (p in ((1, 2, 3, 4), (3, 2, 1, 4)))
+
+
+@pytest.mark.parametrize("p", [
+    {1: 3, 2: 2},  # missing key
+    {1: 3, 2: 2, 3: 1, 4: 4},  # extra key
+    {1: 1, 2: 2, 3: 1},  # repeated image
+    {1: 3, 2: 2, 3: 4},  # image outside the vertex set
+    (3, 2),
+    (3, 2, 1, 4),
+    (1, 2, 1),
+    (3, 2, 4),
+])
+def test_is_automorphism_refuses_malformed_maps(p):
+    g = path(3)
+    assert is_automorphism(g, p) is False
+    assert _is_automorphism_reference(g, p) is False
 
 
 def test_parse_perm():
