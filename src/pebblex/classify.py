@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import puzzle, squares
@@ -362,6 +361,7 @@ def _over_connected_boards(worker, max_n, jobs, *args):
 
     boards = [g for n in range(1, max_n + 1) for g in connected_graphs(n)]
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not paid on import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, boards, *map(itertools.repeat, args),
                                  chunksize=8))

@@ -13,7 +13,8 @@ move is a board path, legal when each pebble pair along it is adjacent in
 the pebble graph, and it reverses the pebbles on it.  A pebble swap is the
 two-vertex path on a board edge; the flip oracle in ``flips`` passes every
 board path.  ``_search`` runs one level loop over the levels of one of two
-engines, chosen from the number of vertices n in ``_engine``:
+engines, chosen from the number of vertices n in ``_engine``, each from
+the identity row, as a pebble is numbered by its position in the start:
 
 * n <= 7: states are lexicographic ranks of permutations.  A table of all
   n! permutations and two narrow swap tables are built once per n and
@@ -23,12 +24,12 @@ engines, chosen from the number of vertices n in ``_engine``:
   gather of rows of each.  A path reversal is at most n // 2 disjoint
   swaps, so a child's rank is that many swap-table lookups, and each level
   is marked in an n!-entry array.  A pebble-swap search derives a child
-  table for its own instance, one child rank per (board edge, rank), by
-  copying one edge-major row of each swap table per board edge, and from
-  then on reads each whole level as one gather of that table.  It builds
-  the table at its first level up to 6 vertices; at 7 it starts without
-  one and builds it once it has visited n! / 128 states, since a 7-vertex
-  table costs more than a whole small search.
+  table for its own instance, one intp child rank per (board edge, rank),
+  by copying one edge-major row of each swap table per board edge, and
+  from then on reads each whole level as one gather of that table.  It
+  builds the table at its first level up to 6 vertices; at 7 it starts
+  without one and builds it once it has visited n! / 128 states, since a
+  7-vertex table costs more than a whole small search.
 * n > 7: each configuration packs into one sortable key, an int64 with 4
   bits per position up to 15 vertices and an n-byte string beyond.  A
   block of a level reads each board edge's pebble pair code once per
@@ -196,14 +197,16 @@ def replay(puz, start, moves):
 # 2**20 cells peaked 60 MB higher and ran no faster.
 _BLOCK_CELLS = 1 << 16
 # A ranked pebble-swap search reads its levels from a per-call child table
-# of E * n! int16 child ranks, E the board edges.  A table that fits one
-# block (n! * C(n,2) cells, n <= 6) is built at the first level: it costs
-# 12-36 us, about two block-body levels, and starting without it made the
-# 6-vertex feasibility items 4% slower.  The n = 7 table, up to 21 * 5,040
-# cells (212 KB), is built once the search has visited n! / _TABLE_SHARE
-# states (40); only counts decide, so which path a search takes is fixed.
-# Measured on a 2-vCPU VM (three runs, min of 21 interleaved rounds per
-# search): the n = 7 build costs 2-3 ns per cell (78-212 us).  Built at 40
+# of E * n! intp child ranks, E the board edges, which a level scatters
+# with no cast.  A table that fits one block (n! * C(n,2) cells, n <= 6) is
+# built at the first level: it costs 12-36 us, about two block-body levels,
+# and starting without it made the 6-vertex feasibility items 4% slower.
+# The n = 7 table, up to 21 * 5,040 cells (847 KB), is built once the
+# search has visited n! / _TABLE_SHARE states (40); only counts decide, so
+# which path a search takes is fixed.  Measured on a 2-vCPU VM (three runs,
+# min of 21 interleaved rounds per search), with an int16 table: the n = 7
+# build costs 2-3 ns per cell (78-212 us); timed later as 1.7 ns per cell
+# int16 and 1.4 ns intp (min of 7 rounds of 2,000 builds).  Built at 40
 # states, a table costs full searches a median 2% against one built at the
 # start and saves them 21-58% (median 36%) against none, and every search
 # that ends sooner is spared the build, which would double a 30-state
@@ -216,21 +219,15 @@ _BLOCK_CELLS = 1 << 16
 _TABLE_SHARE = 128
 
 
-def _edge_positions(puz):
-    b = puz.board
-    return [(b.index_of(u), b.index_of(v)) for u, v in b.edges()]
-
-
-def _pebble_matrix(puz):
-    """Pebble adjacency over pebble indexes (positions in the sorted list),
-    raveled: entry i * n + j, the pebble pair code, says if i and j are
-    adjacent."""
-    pebbles = puz.pebbles
-    P = np.zeros((puz.n, puz.n), dtype=bool)
+def _pebble_matrix(pebbles, index):
+    """Pebble adjacency over the pebble indexes of ``index``, raveled:
+    entry i * n + j, the pebble pair code, says if i and j are adjacent."""
+    n = pebbles.n
+    P = bytearray(n * n)  # a few edges: filled faster in Python than by numpy
     for u, v in pebbles.edges():
-        i, j = pebbles.index_of(u), pebbles.index_of(v)
-        P[i, j] = P[j, i] = True
-    return P.ravel()
+        i, j = index[u], index[v]
+        P[i * n + j] = P[j * n + i] = 1
+    return np.frombuffer(P, dtype=bool)
 
 
 def _shifts(n):
@@ -254,13 +251,13 @@ class _Moves(NamedTuple):
 
 
 def _moves(edges, paths=None):
-    """The ``_Moves`` of position paths on a board with position edges; no
-    paths means each edge's two-vertex path, a pebble swap."""
-    I, J = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    """The ``_Moves`` of position paths on a board with position edges, as
+    pairs or flat; no paths means each edge's two-vertex path, a swap."""
+    I, J = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
     if paths is None:
         return _Moves(I, J, None, np.arange(I.size)[None])
     edge = {}
-    for e, (i, j) in enumerate(edges):
+    for e, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
         edge[i, j] = edge[j, i] = e
     L = max(map(len, paths), default=2) - 1
     S = (L + 1) // 2
@@ -314,12 +311,6 @@ def _run_starts(s):
     return first
 
 
-def _first_occurrences(keys):
-    """Ascending indexes of the first occurrence of each distinct key."""
-    order = np.argsort(keys, kind="stable")
-    return np.sort(order[_run_starts(keys[order])])
-
-
 class _RankTables(NamedTuple):
     perms: np.ndarray  # (n!, n) uint8: every permutation of range(n), lexicographic
     keys: np.ndarray  # (n!,) int64: each row packed by ``_keys``, ascending
@@ -365,14 +356,15 @@ def _ranks(tables, rows):
     return tables.keys.searchsorted(_keys(rows))
 
 
-def _child_table(tables, P, pair_cols, start):
-    """The (E, n!) child ranks of a pebble-swap instance, one row per board
-    edge: the rank its swap leads to, or the start rank where it is illegal."""
-    return np.where(P.take(tables.code_cols.take(pair_cols, axis=0)),
-                    tables.child_cols.take(pair_cols, axis=0), int(start))
+def _child_table(tables, P, pair_cols):
+    """The (E, n!) intp child ranks of a pebble-swap instance, one row per
+    board edge: the rank its swap leads to, or 0, the start, if illegal."""
+    table = tables.child_cols.take(pair_cols, axis=0)
+    table *= P.take(tables.code_cols.take(pair_cols, axis=0))
+    return table.astype(np.intp)
 
 
-def _ranked_levels(puz, moves, ends, witness, probes):
+def _ranked_levels(n, P, moves, goal, witness, probes):
     """The engine over permutation ranks, for n <= _RANKED_MAX_N.
 
     A level's children come one of two ways.  The block body: one gather
@@ -380,26 +372,25 @@ def _ranked_levels(puz, moves, ends, witness, probes):
     pair code of an edge's column decides its legality, and the child rank
     of a move's swap columns gives its child's rank, one lookup per swap,
     the padding (0, 0) swaps reading the identity column.  Or, for pebble
-    swaps, the ``_child_table``: one int16 child rank per (board edge,
-    rank), the start rank for an illegal swap, which is always seen, read
-    for the whole level in one gather.  A pebble-swap search builds the
-    table at its first level when it fits one block (n <= 6), and at n = 7
-    once it has visited n! / _TABLE_SHARE states, so a 7-vertex search may
-    switch part-way; flip paths run the block body.  Without a witness,
-    each level is marked in an n!-entry array and read back in rank order.
-    With one, children are taken in (frontier row, move) order, each new
-    rank keeps its first discovery with its parent's row in the frontier
-    and its move index, and the frontier stays in discovery order.  Each
-    level reads (row, move) off the way it read its children; the table's
-    illegal cells are seen, so both ways keep the same cells and give the
-    same move lists.  The marks answer the goal and any query, so
-    ``probes`` changes nothing here.
+    swaps, the ``_child_table``: one intp child rank per (board edge,
+    rank), rank 0, the start, for an illegal swap, which is always seen,
+    read for the whole level in one gather.  A pebble-swap search builds
+    the table at its first level when it fits one block (n <= 6), and at
+    n = 7 once it has visited n! / _TABLE_SHARE states, so a 7-vertex
+    search may switch part-way; flip paths run the block body.  Without a
+    witness, a level copies the n!-entry ``seen`` mask and marks its
+    children in it with one intp index; the marks the copy lacks are the
+    next level, in rank order.  With one, children are taken in (frontier
+    row, move) order, each new rank keeps its first discovery with its
+    parent's row in the frontier and its move index, and the frontier
+    stays in discovery order.  Each level reads (row, move) off the way it
+    read its children; the table's illegal cells are seen, so both ways
+    keep the same cells and give the same move lists.  The marks answer
+    the goal and any query, so ``probes`` changes nothing here.
     """
-    tables = _rank_tables(puz.n)
-    P = _pebble_matrix(puz)
+    tables = _rank_tables(n)
     pair_cols = tables.pair[moves.I, moves.J]
-    cols = pair_cols[moves.swaps]
-    start, *goal = _ranks(tables, ends)
+    goal = None if goal is None else _ranks(tables, goal)[0]
     seen = np.zeros(len(tables.perms), dtype=bool)
     M = moves.swaps.shape[1]
     block = max(1, _BLOCK_CELLS // max(M, 1))
@@ -407,51 +398,55 @@ def _ranked_levels(puz, moves, ends, witness, probes):
     table_at = (math.inf if moves.steps is not None  # flip paths: never
                 else 1 if len(seen) * (tables.child.shape[1] - 1) <= _BLOCK_CELLS
                 else len(seen) / _TABLE_SHARE)
+    cols = None if table_at == 1 else pair_cols[moves.swaps]  # only the block body reads
+
+    def body(ranks):  # a block's legal children, and their cells if read
+        codes = tables.code.take(ranks, axis=0).take(pair_cols, axis=1)
+        legal = _legal(P.take(codes), moves)
+        kids = tables.child.take(ranks, axis=0).take(cols[0], axis=1)[legal]
+        row = move = None
+        if witness or len(cols) > 1:
+            row, move = _cells(legal)
+        for col in cols[1:]:
+            kids = tables.child[kids, col[move]]
+        return kids.astype(np.intp), row, move  # an intp index scatters faster
 
     def levels():
-        seen[start] = True
-        frontier, parent, via = np.array([start]), None, None
+        seen[0] = True
+        frontier, parent, via = np.zeros(1, dtype=np.intp), None, None
         count, table = 1, None  # the states visited, read by table_at
         while True:
-            yield frontier, parent, via, goal and seen[goal[0]]
+            yield frontier, parent, via, goal is not None and seen[goal]
             if table is None and count >= table_at:
-                table = _child_table(tables, P, pair_cols, start)
-            fresh = np.zeros(seen.size, dtype=bool)
-            level = []
-            # a table level is one gather of the whole frontier, the block body
-            # takes it block by block
-            step = frontier.size if table is not None else block
-            for lo in range(0, frontier.size, step):
-                ranks = frontier[lo: lo + step]
-                if table is not None:  # the children of every (move, row) cell
-                    kids = table.take(ranks, axis=1)
-                else:  # the children of the legal (row, move) cells
-                    codes = tables.code.take(ranks, axis=0).take(pair_cols, axis=1)
-                    legal = _legal(P.take(codes), moves)
-                    # each move's first swap over the whole block, the others
-                    # only where the move is legal
-                    kids = tables.child.take(ranks, axis=0).take(cols[0], axis=1)[legal]
-                    if witness or len(cols) > 1:
-                        row, move = _cells(legal)
-                    for col in cols[1:]:
-                        kids = tables.child[kids, col[move]]
-                if witness:
-                    kids = kids.ravel(order="F")  # (row, move) order
+                table = _child_table(tables, P, pair_cols)
+            if not witness:  # mark every child seen: the new marks are the level
+                before = seen.copy()
+                if table is not None:  # one gather of the whole level
+                    seen[table.take(frontier, axis=1)] = True
+                else:
+                    for lo in range(0, frontier.size, block):
+                        seen[body(frontier[lo: lo + block])[0]] = True
+                frontier = np.greater(seen, before, out=before).nonzero()[0]
+            else:  # a table level is one gather, the block body takes it by blocks
+                level = []
+                step = frontier.size if table is not None else block
+                for lo in range(0, frontier.size, step):
+                    ranks = frontier[lo: lo + step]
+                    if table is not None:  # every (row, move) cell, in that order
+                        kids = table.take(ranks, axis=1).ravel(order="F")
+                    else:
+                        kids, row, move = body(ranks)
                     cell = np.flatnonzero(~seen.take(kids))
-                    cell = cell[_first_occurrences(kids[cell])]
+                    # each new rank's first cell; int16 ranks sort by radix
+                    order = np.argsort(kids[cell].astype(np.int16), kind="stable")
+                    cell = np.sort(cell[order[_run_starts(kids[cell[order]])]])
                     kids = kids[cell]
                     seen[kids] = True
                     # this level's way of reading children: both keep the same cells
                     row, move = (np.divmod(cell, M) if table is not None
                                  else (row[cell], move[cell]))
                     level.append((kids, row + lo, move))
-                else:  # an intp index scatters about twice as fast as an int16 one
-                    fresh[kids.astype(np.intp)] = True
-            if witness:
                 frontier, parent, via = map(np.concatenate, zip(*level))
-            else:
-                frontier = np.flatnonzero(fresh > seen)
-                seen[frontier] = True
             count += frontier.size
 
     return (levels(), functools.partial(_ranks, tables), lambda ranks: seen[ranks],
@@ -540,7 +535,7 @@ def _absent(keys, near):
     return keep
 
 
-def _packed_levels(puz, moves, ends, witness, probes):
+def _packed_levels(n, P, moves, goal, witness, probes):
     """The engine over packed keys, for n > _RANKED_MAX_N.
 
     Each block of a frontier goes through ``_children``: one gather of
@@ -569,18 +564,16 @@ def _packed_levels(puz, moves, ends, witness, probes):
     the level being found, the window its own dedup reads, and answers
     only for its probes.
     """
-    n = puz.n
-    P = _pebble_matrix(puz)
     steps = _steps(moves, n)
     M = moves.swaps.shape[1]
     bits = None if witness else _move_bits(n, M)
-    start, *goal = _keys(ends)
+    goal = None if goal is None else _keys(goal)
     probes = None if probes is None else np.sort(_keys(probes))
     kept = []  # sorted keys: each level's, or of a probe search each level's probes
     block = max(1, _BLOCK_CELLS // max(M, 1))
 
     def levels():
-        frontier = level = np.array([start])  # level: the frontier's keys, sorted
+        frontier = level = _keys(np.arange(n, dtype=np.uint8)[None])  # level: sorted
         back = np.zeros(0, dtype=np.int64)  # the frontier's back cells, by row
         parent = made = None  # of a witness: each new key's row in the frontier, its move
         while True:
@@ -589,7 +582,7 @@ def _packed_levels(puz, moves, ends, witness, probes):
             elif probes.size and level.size:
                 on = level.take(level.searchsorted(probes), mode="clip") == probes
                 kept.append(probes[on])
-            yield frontier, parent, made, goal and not _absent(np.array(goal), [level])[0]
+            yield frontier, parent, made, goal is not None and not _absent(goal, [level])[0]
             parts = []
             for lo in range(0, frontier.size, block):
                 keys = frontier[lo: lo + block]
@@ -638,11 +631,11 @@ def _packed_levels(puz, moves, ends, witness, probes):
 
 
 def _engine(n):
-    """The engine of n-vertex puzzles: given (puz, moves, ends, witness,
-    probes) it returns its levels, each yielded as (frontier, parent row,
-    move, goal found), the start first; ``ids``, the ranks or keys of rows;
-    ``has``, its visited record's answer for ids; and ``rows``, an open
-    search's visited rows."""
+    """The engine of n-vertex puzzles: given (n, P, moves, goal row, witness,
+    probe rows) it returns its levels, each yielded as (frontier, parent
+    row, move, goal found), the start first; ``ids``, the ranks or keys of
+    rows; ``has``, its visited record's answer for ids; and ``rows``, an
+    open search's visited rows."""
     return _ranked_levels if n <= _RANKED_MAX_N else _packed_levels
 
 
@@ -667,8 +660,8 @@ def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None
     """Breadth-first search from ``start`` (None: the identity) in which
     each board path of ``paths`` is a move: it is legal when every pebble
     pair along it is adjacent in the pebble graph, and it reverses the
-    pebbles on it.  No paths means the board edges, in ``_edge_positions``
-    order: pebble swaps.
+    pebbles on it.  No paths means the board edges, in ``edges()`` order:
+    pebble swaps.  Each pebble is numbered by its position in ``start``.
 
     The engine of ``_engine`` expands each level and keeps the visited
     record; this one loop ends after the level on which ``target`` first
@@ -685,20 +678,26 @@ def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None
     than _MAX_N vertices raises ValueError before anything is packed.
     """
     _check_board(puz)
-    start = identity_configuration(puz) if start is None else start
-    index = puz.pebbles.index_of
+    n, board, at = puz.n, puz.board, puz.board.positions()
+    edges = np.fromiter(map(at.__getitem__, itertools.chain.from_iterable(board.edges())),
+                        dtype=np.intp, count=2 * board.m)  # each edge's two positions
+    moves = _moves(edges, None if paths is None else
+                   [list(map(at.__getitem__, p)) for p in paths])
+    start = check_configuration(puz, identity_configuration(puz) if start is None else start)
+    index = dict(zip(start, range(n)))  # a pebble's index: its position in the start
 
     def pack(configs):  # uint8 rows of pebble indexes, one per configuration
-        return np.array([[index(p) for p in check_configuration(puz, c)]
-                         for c in configs], dtype=np.uint8).reshape(-1, puz.n)
+        return np.fromiter(itertools.chain.from_iterable(
+            map(index.__getitem__, check_configuration(puz, c)) for c in configs),
+            dtype=np.uint8, count=n * len(configs)).reshape(-1, n)
 
-    moves = _moves(_edge_positions(puz), None if paths is None else
-                   [[puz.board.index_of(v) for v in p] for p in paths])
-    ends = pack([f for f in (start, target) if f is not None])
+    goal = None if target is None else pack([target])
     probes = None if probes is None else list(probes)
-    probe_rows = None if probes is None else pack(probes)
-    levels, ids, has, rows = _engine(puz.n)(puz, moves, ends, witness, probe_rows)
-    count, total, visits = 0, math.factorial(puz.n), []
+    probe_rows = (None if probes is None else pack(probes) if probes
+                  else np.zeros((0, n), dtype=np.uint8))
+    levels, ids, has, rows = _engine(n)(n, _pebble_matrix(puz.pebbles, index), moves,
+                                        goal, witness, probe_rows)
+    count, total, visits = 0, math.factorial(n), []
     for frontier, parent, move, found in levels:
         count += frontier.size
         if witness:
@@ -711,7 +710,7 @@ def _search(puz, start, cap, target=None, witness=False, paths=None, probes=None
         return _Search(count, None, None, [c for c, hit in zip(probes, hits) if hit])
 
     def states():
-        labels = np.array(puz.pebbles.vertices, dtype=np.int64)
+        labels = np.array(start, dtype=np.int64)
         return frozenset(map(tuple, labels[rows()].tolist()))
 
     def moves_to(config):

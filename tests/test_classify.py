@@ -1,6 +1,10 @@
 """Closed-form feasibility predicates, family recognition, verifier reports."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -454,3 +458,16 @@ def test_sweeps_give_the_same_report_with_two_processes(sweep):
     del serial["elapsed_ms"], pooled["elapsed_ms"]
     assert pooled == serial
     assert serial["verdict"] is True and serial["witness"]["boards"] == 143
+
+
+def test_importing_the_package_starts_no_process_pool():
+    # only a sweep with jobs > 1 reads the process pool, so importing the
+    # package and its CLI leaves multiprocessing and its pool unloaded
+    import pebblex
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pebblex.__file__).parents[1]))
+    code = ("import sys, pebblex, pebblex.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from pebblex import classify, cli, squares
+from pebblex import cli, squares
 
 
 def run(capsys, *argv):
@@ -385,7 +385,8 @@ def test_verify_refuses_jobs_below_one(capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", no_pool)
+    # the sweep imports the pool where it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     code, out = run(capsys, "verify", "examples", "--max-n", "3", "--jobs", jobs)
     assert (code, out.out) == (2, "")
     assert out.err.startswith("usage: pebblex verify")

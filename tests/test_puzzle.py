@@ -916,6 +916,35 @@ def test_packed_levels_are_the_ranked_levels(n, packed, monkeypatch):
                     assert levels(pz, witness, paths) == ranked, (pz, witness, paths)
 
 
+def test_ranked_levels_on_multipartite_pebbles_are_pinned(monkeypatch):
+    # the count and the visited count after every level, read at the cap
+    # check, of reachable_count on every connected 5-vertex board and a
+    # seeded sample of 6- and 7-vertex boards, each against K_n, K_{1,n-1},
+    # K_{2,n-2} and K_{2,2,n-4}; recorded before the ranked engine's set-up
+    # and level marking were trimmed.  The 7-vertex searches fall on both
+    # sides of the n! / _TABLE_SHARE child-table switch
+    counts = []
+    check_cap = _p._check_cap
+    monkeypatch.setattr(_p, "_check_cap",
+                        lambda count, cap: (counts.append(count), check_cap(count, cap)))
+    rng = random.Random(30)
+    boards = [*connected_graphs(5), *rng.sample(connected_graphs(6), 24),
+              *rng.sample(connected_graphs(7), 16), path(7)]
+    pinned, switched = [], set()
+    for board in boards:
+        n = board.n
+        for parts in [(1,) * n, (1, n - 1), (2, n - 2), (2, 2, n - 4)]:
+            counts.clear()
+            count = reachable_count(Puz(board, complete_multipartite(parts)))
+            assert counts[-1] == count
+            pinned.append((count, tuple(counts)))
+            if n == 7:
+                switched.add(count >= math.factorial(7) / _p._TABLE_SHARE)
+    assert switched == {False, True} and len(pinned) == 4 * len(boards)
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == (
+        "0678494840ffea67298b7d1af7ebcf063888c95d628a03a3b2f0319be06abb7f")
+
+
 @pytest.mark.parametrize("n", [14, 15])
 def test_move_bits_fill_63_bits_of_a_key_and_no_more(n, monkeypatch):
     # K14 against a 7-edge perfect matching: 56 key bits and 7 bits for
