@@ -24,12 +24,10 @@ the identity row, as a pebble is numbered by its position in the start:
   gather of rows of each.  A path reversal is at most n // 2 disjoint
   swaps, so a child's rank is that many swap-table lookups, and each level
   is marked in an n!-entry array.  A pebble-swap search derives a child
-  table for its own instance, one intp child rank per (board edge, rank),
-  by copying one edge-major row of each swap table per board edge, and
-  from then on reads each whole level as one gather of that table.  It
-  builds the table at its first level up to 6 vertices; at 7 it starts
-  without one and builds it once it has visited n! / 128 states, since a
-  7-vertex table costs more than a whole small search.
+  table for its own instance as it first expands its start, one intp child
+  rank per (board edge, rank), by copying one edge-major row of each swap
+  table per board edge, and reads each whole level as one gather of that
+  table; a flip search reads the swap tables block by block.
 * n > 7: each configuration packs into one sortable key, an int64 with 4
   bits per position up to 15 vertices and an n-byte string beyond.  A
   block of a level reads each board edge's pebble pair code once per
@@ -196,27 +194,6 @@ def replay(puz, start, moves):
 # it started, where one unblocked level would take 276 MB per int64 array;
 # 2**20 cells peaked 60 MB higher and ran no faster.
 _BLOCK_CELLS = 1 << 16
-# A ranked pebble-swap search reads its levels from a per-call child table
-# of E * n! intp child ranks, E the board edges, which a level scatters
-# with no cast.  A table that fits one block (n! * C(n,2) cells, n <= 6) is
-# built at the first level: it costs 12-36 us, about two block-body levels,
-# and starting without it made the 6-vertex feasibility items 4% slower.
-# The n = 7 table, up to 21 * 5,040 cells (847 KB), is built once the
-# search has visited n! / _TABLE_SHARE states (40); only counts decide, so
-# which path a search takes is fixed.  Measured on a 2-vCPU VM (three runs,
-# min of 21 interleaved rounds per search), with an int16 table: the n = 7
-# build costs 2-3 ns per cell (78-212 us); timed later as 1.7 ns per cell
-# int16 and 1.4 ns intp (min of 7 rounds of 2,000 builds).  Built at 40
-# states, a table costs full searches a median 2% against one built at the
-# start and saves them 21-58% (median 36%) against none, and every search
-# that ends sooner is spared the build, which would double a 30-state
-# search (c7: 60 us, 117 with it).  Searches that end between 40 and 420
-# states pay 30-150 us more than with no table, and 840-state ones about
-# break even.  Building once a level holds 128-256 states spares those, but
-# full searches were slower in 33 of 36 such runs (median 7.5%) and a
-# 2,520-state search of 37 levels 33-96% slower; full searches are 96% of
-# the 7,287 seven-vertex searches of verify_examples_agreement.
-_TABLE_SHARE = 128
 
 
 def _pebble_matrix(pebbles, index):
@@ -367,24 +344,22 @@ def _child_table(tables, P, pair_cols):
 def _ranked_levels(n, P, moves, goal, witness, probes):
     """The engine over permutation ranks, for n <= _RANKED_MAX_N.
 
-    A level's children come one of two ways.  The block body: one gather
-    of rows of each swap table serves a block of the frontier; the pebble
-    pair code of an edge's column decides its legality, and the child rank
-    of a move's swap columns gives its child's rank, one lookup per swap,
-    the padding (0, 0) swaps reading the identity column.  Or, for pebble
-    swaps, the ``_child_table``: one intp child rank per (board edge,
-    rank), rank 0, the start, for an illegal swap, which is always seen,
-    read for the whole level in one gather.  A pebble-swap search builds
-    the table at its first level when it fits one block (n <= 6), and at
-    n = 7 once it has visited n! / _TABLE_SHARE states, so a 7-vertex
-    search may switch part-way; flip paths run the block body.  Without a
-    witness, a level copies the n!-entry ``seen`` mask and marks its
-    children in it with one intp index; the marks the copy lacks are the
-    next level, in rank order.  With one, children are taken in (frontier
-    row, move) order, each new rank keeps its first discovery with its
-    parent's row in the frontier and its move index, and the frontier
-    stays in discovery order.  Each level reads (row, move) off the way it
-    read its children; the table's illegal cells are seen, so both ways
+    The move kind fixes how every level reads its children.  Pebble swaps
+    read the ``_child_table``, built as the start is first expanded: one
+    intp child rank per (board edge, rank), rank 0, the start, for an
+    illegal swap, which is always seen, read for the whole level in one
+    gather.  Flip paths run the block body: one gather of rows of each
+    swap table serves a block of the frontier; the pebble pair code of an
+    edge's column decides its legality, and the child rank of a move's
+    swap columns gives its child's rank, one lookup per swap, the padding
+    (0, 0) swaps reading the identity column.  Without a witness, a level
+    copies the n!-entry ``seen`` mask and marks its children in it with
+    one intp index; the marks the copy lacks are the next level, in rank
+    order.  With one, children are taken in (frontier row, move) order,
+    each new rank keeps its first discovery with its parent's row in the
+    frontier and its move index, and the frontier stays in discovery
+    order.  Each level reads (row, move) off the way it read its children;
+    the table's illegal cells are seen, so the same swaps read either way
     keep the same cells and give the same move lists.  The marks answer
     the goal and any query, so ``probes`` changes nothing here.
     """
@@ -394,11 +369,7 @@ def _ranked_levels(n, P, moves, goal, witness, probes):
     seen = np.zeros(len(tables.perms), dtype=bool)
     M = moves.swaps.shape[1]
     block = max(1, _BLOCK_CELLS // max(M, 1))
-    # the visited count at which a search builds its child table
-    table_at = (math.inf if moves.steps is not None  # flip paths: never
-                else 1 if len(seen) * (tables.child.shape[1] - 1) <= _BLOCK_CELLS
-                else len(seen) / _TABLE_SHARE)
-    cols = None if table_at == 1 else pair_cols[moves.swaps]  # only the block body reads
+    cols = None if moves.steps is None else pair_cols[moves.swaps]  # the block body reads
 
     def body(ranks):  # a block's legal children, and their cells if read
         codes = tables.code.take(ranks, axis=0).take(pair_cols, axis=1)
@@ -414,11 +385,11 @@ def _ranked_levels(n, P, moves, goal, witness, probes):
     def levels():
         seen[0] = True
         frontier, parent, via = np.zeros(1, dtype=np.intp), None, None
-        count, table = 1, None  # the states visited, read by table_at
+        yield frontier, parent, via, goal is not None and seen[goal]
+        # built here at every n: on a 2-vCPU VM at n = 7 it adds 30-45 us to a 13-34-state
+        # search; 7-vertex feasibility items ran 3-8% faster than with it built at 40 states
+        table = None if moves.steps is not None else _child_table(tables, P, pair_cols)
         while True:
-            yield frontier, parent, via, goal is not None and seen[goal]
-            if table is None and count >= table_at:
-                table = _child_table(tables, P, pair_cols)
             if not witness:  # mark every child seen: the new marks are the level
                 before = seen.copy()
                 if table is not None:  # one gather of the whole level
@@ -447,7 +418,7 @@ def _ranked_levels(n, P, moves, goal, witness, probes):
                                  else (row[cell], move[cell]))
                     level.append((kids, row + lo, move))
                 frontier, parent, via = map(np.concatenate, zip(*level))
-            count += frontier.size
+            yield frontier, parent, via, goal is not None and seen[goal]
 
     return (levels(), functools.partial(_ranks, tables), lambda ranks: seen[ranks],
             lambda: tables.perms[seen])

@@ -337,8 +337,9 @@ def _move_line(no, raw):
 def parse_certificate(text):
     """Rebuild a certificate from its text form.
 
-    Raises ValueError (naming the line) on format problems.  The replay
-    itself is the caller's job, via ``.validate()``.
+    The header is one ``board=`` and one ``pebbles=`` token, in either
+    order.  Raises ValueError (naming the line) on format problems.  The
+    replay itself is the caller's job, via ``.validate()``.
     """
     from .names import graph_from_desc
 
@@ -356,10 +357,9 @@ def parse_certificate(text):
     if len(lines) < 4:
         raise ValueError("line 1: certificate needs at least four lines")
     no, head = lines[0]
-    parts = dict(
-        kv.split("=", 1) for kv in head.split() if "=" in kv
-    )
-    if set(parts) != {"board", "pebbles"}:
+    tokens = head.split()
+    parts = dict(kv.split("=", 1) for kv in tokens if "=" in kv)
+    if len(tokens) != 2 or set(parts) != {"board", "pebbles"}:
         raise ValueError(
             f"line {no}: header must be 'board=<desc> pebbles=<desc>'"
         )

@@ -45,6 +45,12 @@ def test_compose_applies_right_factor_first():
     assert compose(identity_perm(3), p) == p
 
 
+def test_compose_refuses_permutations_of_different_lengths():
+    for p, q in (((2, 1, 3), (2, 1)), ((2, 1), (2, 1, 3))):
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            compose(p, q)
+
+
 def test_inverse_and_power():
     rng = random.Random(7)
     for n in (1, 2, 5, 8):

@@ -237,7 +237,10 @@ def test_bfs_witness_refuses_a_move_list_that_misses_its_target(monkeypatch):
 # move lists of bfs_witness for 10 targets drawn by random.Random(13) from
 # each reachable set (all of them when fewer): their lengths and the sha256
 # of their repr, recorded before the witness search moved off tuples.  The
-# last two boards start from a seeded arrangement that is not the identity
+# p4/star3 and c7/star6 searches start from a seeded arrangement that is
+# not the identity.  The c7, theta122 and theta122/p7 searches visit 29,
+# 34 and 13 states: their rows were recorded while such small 7-vertex
+# searches still ran the block body to the end
 
 def _seeded_start(pz):
     return tuple(random.Random(13).sample(identity_configuration(pz), pz.n))
@@ -258,8 +261,17 @@ def _seeded_start(pz):
      (Puz(path(4), star(3)), _seeded_start, [0, 1, 2, 1],
       "e4d529dd9969cfeb172fd3715b76bedd1c4b279f5c815c033019f8f8297cde54"),
      (Puz(cycle(7), star(6)), _seeded_start, [0, 11, 15, 2, 13, 5, 6, 12, 19, 3],
-      "620b33b8eb4df45794c3faefb7da00a9b480921e7b10f2bef7986307f07d220b")],
-    ids=["q3", "q3/star7", "p9^2~8/p8", "p16", "p4/star3", "c7/star6"],
+      "620b33b8eb4df45794c3faefb7da00a9b480921e7b10f2bef7986307f07d220b"),
+     (puz_on(cycle(7)), identity_configuration, [1, 2, 1, 2, 1, 3, 2, 3, 2, 2],
+      "c59fb77ff85708ead025c631fcc8b4213f9dee2d3d15d30d8273b7ba8e7d1fb3"),
+     (puz_on(graph_from_desc("theta122")), identity_configuration,
+      [3, 3, 3, 2, 1, 2, 2, 2, 3, 2],
+      "df70c2a4d4dd369002989d621ccf7338161723941c80523816f5c1178fb368e8"),
+     (Puz(graph_from_desc("theta122"), path(7)), identity_configuration,
+      [2, 3, 2, 1, 1, 2, 2, 1, 1, 2],
+      "d7b92c2bd0ff172732dbaa9e2629d1f9b422db848a2d66d766b2fe5f0a8288e0")],
+    ids=["q3", "q3/star7", "p9^2~8/p8", "p16", "p4/star3", "c7/star6", "c7",
+         "theta122", "theta122/p7"],
 )
 def test_bfs_witnesses_are_pinned(pz, start, lengths, digest):
     start = start(pz)
@@ -810,17 +822,15 @@ def test_packed_and_ranked_engines_agree_to_six_vertices(n, packed):
 
 
 def test_the_child_table_and_the_block_body_agree():
-    # pebble swaps read a per-call child table, from the first level up to
-    # 6 vertices and, at 7, from the level where the search has visited
-    # 5040 / _TABLE_SHARE states; the same swaps passed as two-vertex paths
-    # run the block body.  Every connected board up to 5 vertices and seeded
-    # samples of 6- and 7-vertex boards plus theta122, each against itself,
-    # a clique and a star, from a seeded start
+    # pebble swaps read a per-call child table from the first level; the
+    # same swaps passed as two-vertex paths run the block body.  Every
+    # connected board up to 5 vertices and seeded samples of 6- and
+    # 7-vertex boards plus theta122, each against itself, a clique and a
+    # star, from a seeded start
     rng = random.Random(20)
     boards = [b for n in range(1, 6) for b in connected_graphs(n)]
     boards += rng.sample(connected_graphs(6), 12)
     boards += rng.sample(connected_graphs(7), 3) + [graph_from_desc("theta122")]
-    switched = set()  # 7-vertex searches that did and did not switch
     for board in boards:
         n, edges = board.n, board.edges()
         for pebbles in [board, complete(n)] + ([star(n - 1)] if n > 1 else []):
@@ -843,14 +853,11 @@ def test_the_child_table_and_the_block_body_agree():
                     messages.append(str(exc.value))
                 assert messages == [f"visited {table.count} configurations, "
                                     f"cap is {table.count - 1}"] * 2, pz
-                if n == 7:
-                    switched.add(table.count >= math.factorial(7) / _p._TABLE_SHARE)
-    assert switched == {False, True}
 
 
-def test_a_seven_vertex_search_builds_its_child_table_once_it_grows(monkeypatch):
-    # the rule reads the visited count, never a clock: small 7-vertex
-    # searches run the block body to the end, a full one builds one table
+def test_every_ranked_pebble_swap_search_builds_one_child_table(monkeypatch):
+    # a pebble-swap search reads its child table from the first level, at
+    # every n up to 7: small 7-vertex searches build it as full ones do
     built = []
 
     def child_table(*args):
@@ -861,15 +868,16 @@ def test_a_seven_vertex_search_builds_its_child_table_once_it_grows(monkeypatch)
     monkeypatch.setattr(_p, "_child_table", child_table)
     theta = graph_from_desc("theta122")
     small = [puz_on(graph_from_desc("c7")), puz_on(theta), Puz(theta, graph_from_desc("p7"))]
-    for pz in small + [Puz(theta, complete(7))]:
+    for pz in small + [Puz(theta, complete(7)), puz_on(square(path(6)))]:
         for witness in (False, True):
             built.clear()
             count = _p._search(pz, None, _p.DEFAULT_CAP, witness=witness).count
-            assert len(built) == (0 if pz in small else 1), (pz, witness)
-            assert (count < 40) == (pz in small) and count in (13, 29, 34, 5040)
+            assert len(built) == 1, (pz, witness)
+            assert (count < 40) == (pz in small) and count in (13, 29, 34, 5040, 720)
     # flip paths never read a child table
+    built.clear()
     assert len(flip_reachable_set(theta)) == 4928
-    assert len(built) == 1
+    assert not built
 
 
 def test_a_search_takes_at_most_256_vertices():
@@ -921,8 +929,8 @@ def test_ranked_levels_on_multipartite_pebbles_are_pinned(monkeypatch):
     # check, of reachable_count on every connected 5-vertex board and a
     # seeded sample of 6- and 7-vertex boards, each against K_n, K_{1,n-1},
     # K_{2,n-2} and K_{2,2,n-4}; recorded before the ranked engine's set-up
-    # and level marking were trimmed.  The 7-vertex searches fall on both
-    # sides of the n! / _TABLE_SHARE child-table switch
+    # and level marking were trimmed, and before small 7-vertex searches
+    # read a child table from their first level
     counts = []
     check_cap = _p._check_cap
     monkeypatch.setattr(_p, "_check_cap",
@@ -930,7 +938,7 @@ def test_ranked_levels_on_multipartite_pebbles_are_pinned(monkeypatch):
     rng = random.Random(30)
     boards = [*connected_graphs(5), *rng.sample(connected_graphs(6), 24),
               *rng.sample(connected_graphs(7), 16), path(7)]
-    pinned, switched = [], set()
+    pinned = []
     for board in boards:
         n = board.n
         for parts in [(1,) * n, (1, n - 1), (2, n - 2), (2, 2, n - 4)]:
@@ -938,9 +946,7 @@ def test_ranked_levels_on_multipartite_pebbles_are_pinned(monkeypatch):
             count = reachable_count(Puz(board, complete_multipartite(parts)))
             assert counts[-1] == count
             pinned.append((count, tuple(counts)))
-            if n == 7:
-                switched.add(count >= math.factorial(7) / _p._TABLE_SHARE)
-    assert switched == {False, True} and len(pinned) == 4 * len(boards)
+    assert len(pinned) == 4 * len(boards)
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == (
         "0678494840ffea67298b7d1af7ebcf063888c95d628a03a3b2f0319be06abb7f")
 

@@ -363,6 +363,18 @@ def test_parse_certificate_reports_line_numbers():
         parse_certificate("\n".join(lines) + "\n")
 
 
+def test_parse_certificate_takes_exactly_one_board_and_one_pebbles_token():
+    body = "1 2 3\n3 2 1\n3\n1 2\n2 3\n1 2\n"
+    for head in ("board=p3^2 pebbles=p3^2 junk",
+                 "board=p4^2 board=p3^2 pebbles=p3^2",
+                 "board=p3^2 pebbles=p3^2 # c"):
+        with pytest.raises(ValueError) as exc:
+            parse_certificate(f"{head}\n{body}")
+        assert str(exc.value) == "line 1: header must be 'board=<desc> pebbles=<desc>'"
+    for head in ("board=p3^2 pebbles=p3^2", "pebbles=p3^2 board=p3^2"):
+        assert parse_certificate(f"{head}\n{body}").validate().end == (3, 2, 1)
+
+
 def test_certificate_validate_rejects_wrong_end():
     cert = seq_A(3)
     lie = MoveCertificate(

@@ -4,8 +4,10 @@ call is dead weight and gets deleted, with its tests moved to what it
 stood for.  Likewise every import is read by the module or function that
 holds it, every field of a private NamedTuple is read by package code,
 every method and property of a package class is referred to by package
-code outside its own body, and every defaulted parameter of a private
-module-level function is passed by some package call."""
+code outside its own body, every defaulted parameter of a private
+module-level function is passed by some package call, and every private
+name that a package module assigns at module level is read by package
+code."""
 
 import ast
 import collections
@@ -170,6 +172,33 @@ def _unset_defaults(trees):
     return sorted(out)
 
 
+def _private_assignments(tree):
+    """The private names, one leading underscore and no dunder, that a
+    module's top-level assignments bind."""
+    for stmt in tree.body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        for sub in (sub for target in targets for sub in ast.walk(target)):
+            if (isinstance(sub, ast.Name) and sub.id.startswith("_")
+                    and not sub.id.startswith("__")):
+                yield sub.id
+
+
+def _unread_private_names(trees):
+    """Private module-level names that no package code reads.  A read is a
+    load of the bare name, an attribute load of it, or an import of it."""
+    read = set()
+    for sub in (sub for tree in trees.values() for sub in ast.walk(tree)):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            read.add(sub.name.rsplit(".", 1)[-1])
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in _private_assignments(tree) if name not in read)
+
+
 def test_every_module_level_import_is_used():
     assert _unused_imports() == []
     # an import inside a function counts as used only where that function
@@ -221,3 +250,17 @@ def test_every_default_of_a_private_function_is_passed_somewhere():
         "def h():\n    return _f(0, 1) + _f(0, d=4) + _g(*[0, 1])\n"
     )
     assert _unset_defaults({"m": tree}) == ["m._f.c"]
+
+
+def test_every_private_module_level_name_is_read_by_package_code():
+    trees = _package_trees()
+    assert _unread_private_names(trees) == []
+    assert sum(len(list(_private_assignments(t))) for t in trees.values()) > 0
+    # a store is no read, a load from another module is one, and public
+    # and dunder names are left alone
+    trees = {
+        "a": ast.parse("_A = 1\n_B, _C = 2, 3\n_D: int = 4\n__all__ = []\n"
+                       "PUBLIC = 5\n_A = _A + 1\n"),
+        "b": ast.parse("from .a import _C\nimport a\n\ndef f():\n    return a._D\n"),
+    }
+    assert _unread_private_names(trees) == ["a._B"]
