@@ -191,7 +191,8 @@ def _cmd_replay_flips(args):
 
 
 def _cmd_reverse_square(args):
-    cert = squares.seq_A(args.n, via=args.via, allow_large=args.allow_large)
+    cert = squares.seq_A(args.n, via=args.via, allow_large=args.allow_large,
+                         cap=args.cap)
     if args.out:
         _write_out(args.out, squares.format_certificate(cert))
     return {

@@ -4,18 +4,24 @@ Grammar, innermost first:
 
   base:   p<n>  c<n>  star<l>  k<n>  q<d>  theta122  grid<a>x<b>
           or anything else, read as a graph file path
-  ^2:     optional suffix, take the square
+  ^2:     optional suffix, take the square; a builtin base may take it
+          more than once, each squaring once more
   ~<v>:   optional suffix (repeatable), delete vertex v after everything else
 
-Examples: ``p7``, ``c5``, ``q3``, ``grid2x3``, ``p8^2~7``, ``mygraph.txt^2``.
-Descriptors make serialized certificates self-contained: whoever reads one
-can rebuild the exact board and pebble graphs from the descriptor alone.
+Examples: ``p7``, ``c5``, ``q3``, ``grid2x3``, ``p8^2~7``, ``p4^2^2``,
+``mygraph.txt^2``.  A file path is everything before the last ``^2``, so
+``foo^2^2`` reads the file ``foo^2`` and squares it once.  Descriptors make
+serialized certificates self-contained: whoever reads one can rebuild the
+exact board and pebble graphs from the descriptor alone; ``compile-square``
+on ``p4^2`` writes ``p4^2^2``.
 
-A builtin graph, squared when ``^2`` asks for it and before any deletion,
-may have at most ``MAX_VERTICES`` (10,000) vertices and ``MAX_EDGES``
-(200,000) edges.  Both counts follow from the descriptor's integers, so a
-descriptor such as ``k5000`` or ``q30`` is refused with a ValueError before
-any graph is built.
+A builtin graph, squared once when ``^2`` asks for it and before any
+deletion, may have at most ``MAX_VERTICES`` (10,000) vertices and
+``MAX_EDGES`` (200,000) edges.  Both counts follow from the descriptor's
+integers, so a descriptor such as ``k5000`` or ``q30`` is refused with a
+ValueError before any graph is built.  A later square is refused by
+``graphs.square`` past ``MAX_EDGES`` while it collects, before that square
+is built.
 """
 
 from __future__ import annotations
@@ -72,12 +78,16 @@ def graph_from_desc(desc, allow_files=True):
             break
         deletions.append(int(m.group(1)))
         desc = desc[: m.start()]
-    take_square = desc.endswith("^2")
-    if take_square:
-        desc = desc[:-2]
+    end = len(desc)
+    while desc.endswith("^2", 0, end):
+        end -= 2
+    squarings, desc = (len(desc) - end) // 2, desc[:end]
     m = _BUILTIN.match(desc)
+    if not m and squarings > 1:  # a file path runs up to the last ^2
+        desc += "^2" * (squarings - 1)
+        squarings = 1
     if m:
-        nv, ne = _builtin_size(m, take_square)
+        nv, ne = _builtin_size(m, squarings > 0)
         if nv > MAX_VERTICES or ne > MAX_EDGES:
             raise ValueError(
                 f"graph descriptor {whole!r} is too large: builtin graphs "
@@ -108,8 +118,11 @@ def graph_from_desc(desc, allow_files=True):
             g = _g.parse_graph(fh.read())
     else:
         raise ValueError(f"unknown graph descriptor {desc!r}")
-    if take_square:
-        g = _g.square(g)
+    for _ in range(squarings):
+        sq = _g.square(g)
+        if sq.m == g.m:  # g is its own square, so is every later one
+            break
+        g = sq
     for v in reversed(deletions):
         if not g.has_vertex(v):
             raise ValueError(f"descriptor deletes missing vertex {v}")

@@ -812,13 +812,16 @@ def transpose_sequence(puz, start, moves):
     (t_start, t_moves) where t_start is the transposed start configuration;
     replaying t_moves from it provably tracks the inverse bijection at every
     step, and the result is revalidated here before being returned.
+    t_moves holds one pair per distinct pebble pair.
     """
     cfg = list(check_configuration(puz, start))
     index = puz.board.positions()
-    t_moves = []
-    for x1, x2 in moves:
-        _move_in_place(puz, cfg, (x1, x2))
-        t_moves.append((cfg[index[x2]], cfg[index[x1]]))  # the pebbles moved
+    t_moves, pairs = [], {}
+    for mv in moves:
+        _move_in_place(puz, cfg, mv)
+        x1, x2 = mv
+        pair = (cfg[index[x2]], cfg[index[x1]])  # the pebbles moved
+        t_moves.append(pairs.setdefault(pair, pair))
     t_puz = transpose_instance(puz)
     t_start = transpose_configuration(puz, start)
     t_end = replay(t_puz, t_start, t_moves)

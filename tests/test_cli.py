@@ -198,6 +198,28 @@ def test_reverse_square_replays_once(capsys, monkeypatch, argv):
     assert rep["final"] == list(calls[0].end)
 
 
+def test_reverse_square_bfs_honours_the_cap(capsys):
+    code, out = run(capsys, "reverse-square", "--n", "5", "--via", "bfs",
+                    "--cap", "1", "--no-timing")
+    assert code == 3
+    assert out.out == ""
+    assert out.err == "error: visited 8 configurations, cap is 1\n"
+
+
+def test_compile_square_on_a_squared_builtin_replays(capsys, tmp_path):
+    # the certificate names p4^2^2, which must rebuild the same graphs
+    cert = tmp_path / "p4sq.cert"
+    code, rep1 = run_json(capsys, "compile-square", "--graph", "p4^2",
+                          "--perm", "4 3 2 1", "--out", str(cert),
+                          "--no-timing")
+    assert code == 0
+    code, rep2 = run_json(capsys, "replay", "--cert", str(cert),
+                          "--no-timing")
+    assert code == 0
+    assert rep2["board"] == rep2["pebbles"] == "p4^2^2"
+    assert rep1["final"] == rep2["final"] == [4, 3, 2, 1]
+
+
 def test_compile_square_replay_round_trip(capsys, tmp_path):
     cert = tmp_path / "c5rot.cert"
     code, rep1 = run_json(capsys, "compile-square", "--graph", "c5",

@@ -95,3 +95,29 @@ def test_square_edge_limit_is_inclusive():
     assert graphs.square(graphs.Graph(range(1, 938), edges)).m == MAX_EDGES
     with pytest.raises(ValueError, match="MAX_EDGES"):
         graphs.square(graphs.Graph(range(1, 940), edges + [(938, 939)]))
+
+
+def test_a_builtin_base_may_be_squared_more_than_once(monkeypatch):
+    p9 = graphs.path(9)
+    assert graph_from_desc("p4^2^2") == graphs.square(graphs.square(graphs.path(4)))
+    assert graph_from_desc("p9^2^2~3") == graphs.square(graphs.square(p9)).induced(
+        set(p9.vertices) - {3})
+    # q11^2 has 67,584 edges and passes the size check; its square would
+    # have 574,464 and is refused while it is collected
+    with pytest.raises(ValueError, match="MAX_EDGES"):
+        graph_from_desc("q11^2^2")
+    # squaring stops once it adds no edge: p9 is complete after three
+    calls = []
+    square = graphs.square
+    monkeypatch.setattr(graphs, "square", lambda g: calls.append(g) or square(g))
+    assert graph_from_desc("p9" + "^2" * 10_000) == graphs.complete(9)
+    assert len(calls) == 4
+
+
+def test_a_file_base_runs_up_to_the_last_square(tmp_path):
+    p4 = graphs.path(4)
+    path = _write_graph(tmp_path / "g^2", 4, [(1, 2), (2, 3), (3, 4)])
+    assert graph_from_desc(path + "^2") == graphs.square(p4)
+    for desc in (path, path + "^2^2"):  # the files g and g^2^2, squared
+        with pytest.raises(ValueError, match="no such file"):
+            graph_from_desc(desc)

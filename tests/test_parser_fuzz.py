@@ -11,6 +11,7 @@ leaves no ``.hypothesis/`` folder behind.
 
 import itertools
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from pebblex.puzzle import (
     transpose_instance,
     transpose_sequence,
 )
+from pebblex import squares
 from pebblex.squares import MoveCertificate, format_certificate, parse_certificate
 
 _home = tempfile.TemporaryDirectory(prefix="pebblex-hypothesis-")
@@ -172,3 +174,20 @@ def test_certificates_round_trip_through_noise(pair):
     back = parse_certificate(text).validate()
     assert (back.start, back.end, back.moves) == (cert.start, cert.end, cert.moves)
     assert format_certificate(back) == format_certificate(cert)
+
+
+# every line break str.splitlines knows, between short runs of other text
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+           "\x85", "\u2028", "\u2029"]
+broken_text = st.lists(
+    st.one_of(st.sampled_from(_BREAKS), st.sampled_from(["", " ", "a", "1 2"])),
+    max_size=40,
+).map("".join)
+
+
+@fuzz
+@given(broken_text, st.integers(1, 6))
+def test_chunked_split_is_splitlines(text, chunk):
+    # chunks this small put \r\n pairs and empty lines across chunk edges
+    with mock.patch.object(squares, "_CHUNK", chunk):
+        assert list(squares._split_lines(text)) == text.splitlines()

@@ -182,6 +182,17 @@ def test_dense_b_and_c_moves_are_pinned():
     assert h.hexdigest() == DENSE_BC_DIGEST
 
 
+def test_long_move_lists_hold_one_pair_per_distinct_move():
+    # the digest pins compare values only; a list that gave each move a
+    # pair of its own would hold as many objects as it has moves
+    for n in range(1, squares.MAX_RECURSIVE_N + 1):
+        for cert in (squares._dense_b(n), squares._dense_c(n)):
+            assert len({id(mv) for mv in cert.moves}) <= 6 * cert.puz.board.m
+    for moves in (seq_B(12).moves,
+                  parse_certificate(format_certificate(seq_A(12))).moves):
+        assert len({id(mv) for mv in moves}) == len(set(moves))
+
+
 @pytest.fixture
 def fresh_dense_caches():
     # the recursion runs only on a cache miss: clear before, so that it
@@ -361,6 +372,16 @@ def test_parse_certificate_reports_line_numbers():
     lines[3] = "48"
     with pytest.raises(ValueError, match="^line 4: declared 48 moves but found 49$"):
         parse_certificate("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_malformed_move_deep_in_a_long_certificate_names_its_line(newline):
+    # the text is split in chunks: a line number counts across their edges
+    lines = format_certificate(seq_A(15)).splitlines()
+    lines[70_000] += "x"
+    with pytest.raises(
+            ValueError, match="^line 70001: move line must be two integers$"):
+        parse_certificate(newline.join(lines) + newline)
 
 
 def test_parse_certificate_takes_exactly_one_board_and_one_pebbles_token():
