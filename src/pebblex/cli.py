@@ -43,6 +43,11 @@ _PRODUCT_PAIRS = (("p2", "p2"), ("p2", "p3"), ("p2", "p4"), ("p2", "c3"), ("p3",
 # smaller --max-n would check nothing and still report a positive verdict
 _SWEEP_SIZES = {"prop2": (3, 8), "examples": (1, 7), "lemma-square": (1, 12),
                 "lemma-flips": (1, 7)}
+# suite -> the options its run reads besides --cap and --no-timing; prop2
+# reads --graph or --max-n, not both
+_SUITE_OPTIONS = {"prop2": ("graph", "max_n"), "product": ("g1", "g2"),
+                  "examples": ("max_n", "jobs"), "lemma-square": ("max_n",),
+                  "lemma-flips": ("max_n", "jobs"), "parity": ()}
 
 
 def _text_arg(raw):
@@ -250,6 +255,11 @@ def _cmd_classify(args):
 
 def _cmd_verify(args):
     suite = args.suite
+    for name in ("graph", "g1", "g2", "max_n", "jobs"):
+        if getattr(args, name) is not None and name not in _SUITE_OPTIONS[suite]:
+            raise ValueError(f"suite {suite} does not read --{name.replace('_', '-')}")
+    if args.graph is not None and args.max_n is not None:
+        raise ValueError("suite prop2 reads --graph or --max-n, not both")
     first, top = _SWEEP_SIZES.get(suite, (1, None))
     if args.max_n is not None:
         if args.max_n < first:

@@ -28,13 +28,22 @@ class Graph:
     """Immutable simple undirected graph.
 
     ``vertices`` is a sorted tuple of positive ints, ``adj`` maps each vertex
-    to a frozenset of neighbors.  No loops, no multi-edges.  The edge count
-    ``m``, the sorted edge tuple of ``edges()`` and the position dict behind
-    ``index_of`` are built on first read: most subgraphs the flip realizer
-    makes never read any of them.
+    to a frozenset of neighbors.  No loops, no multi-edges.  These fields
+    are built on first read and kept for the graph's lifetime:
+
+    - ``_m``: the edge count ``m``;
+    - ``_edges``: the sorted edge tuple of ``edges()``;
+    - ``_index``: the position dict of ``positions()`` and ``index_of``;
+    - ``_connected``: the answer of ``is_connected``;
+    - ``_bipartite``: the answer of ``is_bipartite``;
+    - ``_cuts``: the cut vertices and bridges of ``_cuts_and_bridges``.
+
+    Most subgraphs the flip realizer makes never read any of them, and a
+    pickled, relabeled or induced copy builds its own.
     """
 
-    __slots__ = ("vertices", "adj", "_m", "_index", "_edges")
+    __slots__ = ("vertices", "adj", "_m", "_index", "_edges", "_connected",
+                 "_bipartite", "_cuts")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(sorted({int(v) for v in vertices}))
@@ -55,13 +64,16 @@ class Graph:
 
     def _fill(self, vs, adj):
         """Set every slot from a sorted vertex tuple and a frozenset
-        adjacency that are already known to be valid.  ``m``, ``edges()``
-        and ``positions()`` fill the other three on first read."""
+        adjacency that are already known to be valid.  The fields built
+        on first read start as None."""
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_m", None)
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_connected", None)
+        object.__setattr__(self, "_bipartite", None)
+        object.__setattr__(self, "_cuts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -466,7 +478,10 @@ def _reach(g, start, seen):
 
 
 def is_connected(g):
-    return len(_reach(g, g.vertices[0], set())) == g.n
+    """Whether g is connected, from one reach walk kept on g."""
+    if g._connected is None:
+        object.__setattr__(g, "_connected", len(_reach(g, g.vertices[0], set())) == g.n)
+    return g._connected
 
 
 def is_connected_without(g, x):
@@ -489,6 +504,13 @@ def components(g):
 
 
 def is_bipartite(g):
+    """Whether g is bipartite, from one 2-coloring walk kept on g."""
+    if g._bipartite is None:
+        object.__setattr__(g, "_bipartite", _two_colorable(g))
+    return g._bipartite
+
+
+def _two_colorable(g):
     color = {}
     for s in g.vertices:
         if s in color:
@@ -515,8 +537,11 @@ def is_tree(g):
 
 
 def _cuts_and_bridges(g):
-    """Cut vertices and bridges from one iterative lowpoint DFS: a sorted
-    tuple of vertices and a sorted tuple of (u, v) edges with u < v."""
+    """Cut vertices and bridges from one iterative lowpoint DFS, kept on
+    g: a sorted tuple of vertices and a sorted tuple of (u, v) edges with
+    u < v."""
+    if g._cuts is not None:
+        return g._cuts
     disc = {}
     low = {}
     parent = {}
@@ -551,7 +576,8 @@ def _cuts_and_bridges(g):
                         cuts.add(u)
         if root_children >= 2:
             cuts.add(root)
-    return tuple(sorted(cuts)), tuple(sorted(brs))
+    object.__setattr__(g, "_cuts", (tuple(sorted(cuts)), tuple(sorted(brs))))
+    return g._cuts
 
 
 def cut_vertices(g):

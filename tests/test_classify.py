@@ -1,6 +1,8 @@
 """Closed-form feasibility predicates, family recognition, verifier reports."""
 
+import hashlib
 import itertools
+import json
 import os
 import pathlib
 import subprocess
@@ -30,6 +32,7 @@ from pebblex import (
     wilson_feasible,
 )
 from pebblex import classify, flips, puzzle, squares
+from pebblex.catalog import connected_graphs
 from pebblex.classify import NOT_APPLICABLE, _partitions_min2
 from pebblex.graphs import components
 from pebblex.puzzle import exchange_group_counts, is_peb_normal_in_aut
@@ -178,6 +181,32 @@ def test_multipartite_partition_errors():
         multipartite_feasible(g("k6"), (1, 2, 3))  # part of size 1
     with pytest.raises(ValueError):
         multipartite_feasible(g("k6"), (2, 2, 3))  # sums to 7, not 6
+
+
+# recorded before Graph kept its connectivity, bipartiteness, cut vertices
+# and bridges: 9,703 verdicts with their witnesses
+CLOSED_FORM_PIN = "902d27fbe71d44bd3c6f4c7738ec90d05be30cbc7ec496520ee3a8f7e69e4407"
+
+
+def test_closed_form_verdicts_are_pinned():
+    # every closed form at every parameter on every connected board up to 7
+    # vertices, in catalog order; boards from the memo may have been asked
+    # before, so a stale fact or witness shows here
+    h = hashlib.sha256()
+    rows = 0
+    for n in range(1, 8):
+        for b in connected_graphs(n):
+            asked = [("wilson", None, wilson_feasible(b))]
+            asked += [("kms", k, kms_feasible(b, k)) for k in range(2, n + 1)]
+            asked += [("two-part", k, bipartite_pebbles_feasible(b, k))
+                      for k in range(2, n // 2 + 1)]
+            asked += [("multipart", p, multipartite_feasible(b, p))
+                      for p in _partitions_min2(n)]
+            for family, arg, verdict in asked:
+                h.update(json.dumps([n, b.edges(), family, arg, verdict.as_json()]).encode())
+            rows += len(asked)
+    assert rows == 9703
+    assert h.hexdigest() == CLOSED_FORM_PIN
 
 
 def test_partitions_min2():

@@ -441,6 +441,42 @@ def test_verify_product_custom_pair(capsys):
     assert rep["reports"][0]["witness"]["predicted_order"] == 4
 
 
+_VERIFY_VALUES = {"--graph": "c5", "--g1": "p2", "--g2": "p3", "--max-n": "3",
+                  "--jobs": "2"}
+_VERIFY_READS = {"prop2": ("--graph", "--max-n"), "product": ("--g1", "--g2"),
+                 "examples": ("--max-n", "--jobs"), "lemma-square": ("--max-n",),
+                 "lemma-flips": ("--max-n", "--jobs"), "parity": ()}
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Every verify suite's entry point raises if it is called."""
+    def sweep(*args, **kwargs):
+        raise AssertionError("a verify sweep started")
+
+    for name in ("verify_prop2", "verify_product_theorem", "verify_examples_agreement",
+                 "verify_square_lemma", "verify_flip_lemma", "verify_parity_example"):
+        monkeypatch.setattr(cli.classify, name, sweep)
+
+
+@pytest.mark.parametrize("suite,option", [
+    (suite, option) for suite, reads in _VERIFY_READS.items()
+    for option in _VERIFY_VALUES if option not in reads
+])
+def test_verify_refuses_an_option_its_suite_does_not_read(capsys, no_sweep, suite, option):
+    # such an option used to be dropped, and the suite's default sweep ran
+    code, out = run(capsys, "verify", suite, option, _VERIFY_VALUES[option], "--no-timing")
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: suite {suite} does not read {option}\n"
+
+
+def test_verify_prop2_refuses_a_board_and_a_size_together(capsys, no_sweep):
+    # the --max-n of a one-board run used to be checked, though never read
+    code, out = run(capsys, "verify", "prop2", "--graph", "c5", "--max-n", "2")
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: suite prop2 reads --graph or --max-n, not both\n"
+
+
 # ---------------------------------------------------------------------------
 # input handling and output discipline
 

@@ -1,24 +1,31 @@
 """Cross-checks against oracles that share no code with the package:
-networkx for induced subgraphs, cut vertices, bridges, automorphism counts
-and the theta-graph test, on densely labeled graphs and on copies with
-gapped labels; and a count of acyclic orientations for the components of
-the path-board puzzle."""
+networkx for induced subgraphs, cut vertices, bridges, the structural facts
+a Graph keeps, automorphism counts and the theta-graph test, on densely
+labeled graphs and on copies with gapped labels; and a count of acyclic
+orientations for the components of the path-board puzzle."""
 
 import functools
 import itertools
 import math
+import pickle
 import random
 
 import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from pebblex.catalog import connected_graphs
+from pebblex.catalog import connected_graphs, girth5_graphs, trees
 from pebblex.graphs import (
     Graph,
     bridges,
     cut_vertices,
+    has_k_isthmus,
+    is_2connected,
+    is_bipartite,
+    is_connected,
+    is_cycle,
     is_theta_122,
+    is_tree,
     path,
     theta_122,
 )
@@ -97,6 +104,83 @@ def test_cut_structure_matches_networkx(n):
         assert cut_vertices(g) == tuple(sorted(nx.articulation_points(h)))
         want = tuple(sorted((min(e), max(e)) for e in nx.bridges(h)))
         assert bridges(g) == want
+
+
+_FACTS = {"is_connected": is_connected, "is_bipartite": is_bipartite,
+          "cut_vertices": cut_vertices, "bridges": bridges,
+          "is_2connected": is_2connected, "is_cycle": is_cycle, "is_tree": is_tree}
+
+
+def _ask(g, question):
+    name, k = question
+    if name != "has_k_isthmus":
+        return _FACTS[name](g)
+    try:
+        return has_k_isthmus(g, k)
+    except ValueError as exc:  # a disconnected graph
+        return str(exc)
+
+
+def _fact_boards():
+    rng = random.Random(20261022)
+    boards = [g for n in range(1, 8) for g in connected_graphs(n)]
+    boards += [g for n in range(1, 10) for g in trees(n)]
+    boards += [g for n in range(3, 9) for g in girth5_graphs(n)]
+    boards += [_gapped(g) for g in boards[::7]]
+    for _ in range(120):  # about a third of them disconnected
+        n = rng.randint(1, 12)
+        p = rng.uniform(0.1, 0.5)
+        boards.append(Graph(range(1, n + 1), [
+            e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p
+        ]))
+    boards += [g.induced(rng.sample(g.vertices, rng.randint(1, g.n))) for g in boards]
+    return boards, rng
+
+
+def test_kept_facts_match_a_fresh_walk_and_networkx():
+    boards, rng = _fact_boards()
+    assert sum(not nx.is_connected(_nx(g)) for g in boards) > 100
+    for g in boards:
+        questions = [(name, None) for name in _FACTS]
+        questions += [("has_k_isthmus", k) for k in range(1, g.n + 1)]
+        order = questions * 2
+        rng.shuffle(order)
+        answers = {}
+        for q in order:
+            answers.setdefault(q, []).append(_ask(g, q))
+        fresh = Graph(g.vertices, g.edges())
+        for q in questions:
+            assert answers[q] == [_ask(fresh, q)] * 2, q
+        h = _nx(g)
+        assert answers["is_connected", None][0] == nx.is_connected(h)
+        assert answers["is_bipartite", None][0] == nx.is_bipartite(h)
+        assert answers["cut_vertices", None][0] == tuple(sorted(nx.articulation_points(h)))
+        assert answers["bridges", None][0] == tuple(sorted(
+            (min(e), max(e)) for e in nx.bridges(h)))
+
+
+def test_kept_facts_stay_immutable_and_copies_find_their_own():
+    for g in (theta_122(), path(5), Graph(range(1, 6), [(1, 2), (3, 4), (4, 5)])):
+        questions = [(name, None) for name in _FACTS]
+        questions += [("has_k_isthmus", k) for k in range(1, g.n + 1)]
+        answers = [_ask(g, q) for q in questions]
+        for slot in ("_connected", "_bipartite", "_cuts"):
+            with pytest.raises(AttributeError):
+                setattr(g, slot, None)
+        dup = pickle.loads(pickle.dumps(g))
+        assert (dup._connected, dup._bipartite, dup._cuts) == (None, None, None)
+        assert [_ask(dup, q) for q in questions] == answers
+        # an order-keeping relabeling maps every vertex, edge and witness
+        image = {v: 3 * v + 1 for v in g.vertices}
+
+        def mapped(a):
+            if isinstance(a, (tuple, list)):
+                return type(a)(mapped(x) for x in a)
+            return image[a] if isinstance(a, int) and not isinstance(a, bool) else a
+
+        moved = g.relabeled(image)
+        assert moved._cuts is None
+        assert [_ask(moved, q) for q in questions] == [mapped(a) for a in answers]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
